@@ -7,18 +7,24 @@ checks the config only; ``zeno kernel`` and ``zeno trace`` dump the
 broadening kernel and the time-domain amplitudes for external plotting.
 
 Units follow the library convention: hbar = 1, energies in one user-chosen
-unit, times in its inverse.  All outputs are deterministic for a given
-config, independent of --jobs.
+unit, times in its inverse.  ``--jobs N`` evaluates up to N rows at once,
+each in its own worker process; all outputs are deterministic for a given
+config and byte-identical for every --jobs.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import multiprocessing
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+# unused here since rows run in processes; perfbench/tracing.py and its
+# test still patch cli.ThreadPoolExecutor, so the name stays importable
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -361,7 +367,7 @@ def _evaluate_row(config: ParsedConfig, value: float) -> dict:
         ratio = None
         if routes in ("analytic", "both"):
             kernel = build_analytic(scenario)
-            result = analytic_gamma(scenario)
+            result = analytic_gamma(scenario, kernel)
             row["gamma_analytic"] = result.gamma
             row["normalization_defect"] = kernel.normalization_defect()
             gamma0, ratio = result.gamma0, result.ratio
@@ -399,12 +405,20 @@ def _evaluate_row(config: ParsedConfig, value: float) -> dict:
 
 
 def run_sweep(config: ParsedConfig, jobs: int = 1) -> list[dict]:
-    """One row per sweep value, evaluated in parallel, assembled in order."""
+    """One row per sweep value, assembled in sweep order.
+
+    With jobs > 1, up to jobs rows are evaluated at once in worker
+    processes; the rows are the same as those of the serial sweep.
+    """
     values = [float(v) for v in config.sweep_values]
-    if jobs <= 1:
+    workers = min(jobs, len(values))
+    if workers <= 1:
         return [_evaluate_row(config, v) for v in values]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda v: _evaluate_row(config, v), values))
+    # spawned workers import the library afresh; fork would copy the
+    # caller's threads' locks in whatever state they hold
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        return list(pool.map(functools.partial(_evaluate_row, config), values))
 
 
 def _format_cell(value) -> str:
@@ -462,6 +476,8 @@ def _parse_range(spec: str):
 
 
 def _cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError("--jobs", "must be at least 1")
     config = load_config(args.config)
     rows = run_sweep(config, jobs=args.jobs)
     columns = sweep_columns(config.routes)
@@ -540,7 +556,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="evaluate the sweep and report one row per value")
     add_io(p_run)
-    p_run.add_argument("--jobs", type=int, default=1, help="parallel row evaluations")
+    p_run.add_argument("--jobs", type=int, default=1,
+                       help="rows evaluated at once, each in a worker process (default 1)")
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="check the config and exit")

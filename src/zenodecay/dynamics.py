@@ -274,7 +274,10 @@ def _time_grid(horizon, dt, scale, sample_stride):
             f"|dt| = {abs(dt):.3e} exceeds the stability bound {0.05 / scale:.3e}"
         )
     idx = np.arange(0, n_steps + 1, sample_stride)
-    return dt, n_steps, idx
+    times = idx * dt
+    # idx * (horizon / n_steps) can miss the horizon by an ulp
+    times[-1] = horizon
+    return dt, n_steps, idx, times
 
 
 def _eig_evolve(static, psi0, times):
@@ -291,17 +294,23 @@ def _rk4_evolve(static, drive, psi0, dt, n_steps, idx, t_offset=0.0):
     psi = np.array(psi0, dtype=complex, copy=True)
     out = np.empty((idx.size, psi.size), dtype=complex)
     out[0] = psi
+    # -1j is folded into the generator once; multiplying by it is exact, so
+    # every stage keeps the floating-point result of -1j * (H x)
     if drive is not None:
-        amp = drive.amplitude
+        n = psi.size
         freq = drive.frequency
+        # static part on top, drive amplitude below: one product gives both
+        generator = -1j * sparse.vstack([static, drive.amplitude], format="csr")
 
         def rhs(t, x):
-            return -1j * (static.dot(x) + np.cos(freq * (t + t_offset)) * amp.dot(x))
+            y = generator @ x
+            return y[:n] + np.cos(freq * (t + t_offset)) * y[n:]
 
     else:
+        generator = -1j * static
 
         def rhs(t, x):
-            return -1j * static.dot(x)
+            return generator @ x
 
     ptr = 1
     half = 0.5 * dt
@@ -358,8 +367,7 @@ def propagate(
         if psi0.shape != (n,) or not np.all(np.isfinite(psi0)):
             raise ValueError("initial_state must be a finite length-n vector")
     scale = _energy_scale(model)
-    dt, n_steps, idx = _time_grid(horizon, dt, scale, sample_stride)
-    times = idx * dt
+    dt, n_steps, idx, times = _time_grid(horizon, dt, scale, sample_stride)
     if model.drive is None and n <= eig_cutoff:
         states = _eig_evolve(_static_matrix(model), psi0, times)
     else:
@@ -456,8 +464,7 @@ def dissipation_trace(
     phi /= np.linalg.norm(phi)
 
     scale = _energy_scale(model, include_v=False)
-    dt, n_steps, idx = _time_grid(horizon, dt, scale, sample_stride)
-    times = idx * dt
+    dt, n_steps, idx, times = _time_grid(horizon, dt, scale, sample_stride)
 
     weights = np.abs(phi[model.xi_indices]) ** 2
     energies = model.h0_diag[model.xi_indices]

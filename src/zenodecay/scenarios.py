@@ -223,9 +223,14 @@ def _scenario_warnings(scenario) -> tuple[str, ...]:
     return tuple(flags)
 
 
-def analytic_gamma(scenario) -> DecayRateResult:
-    """Decay constant by the rate integral with the scenario's kernel."""
-    kernel = build_analytic(scenario)
+def analytic_gamma(scenario, kernel: DissipationKernel | None = None) -> DecayRateResult:
+    """Decay constant by the rate integral with the scenario's kernel.
+
+    kernel, when given, must be ``build_analytic(scenario)``; passing it
+    saves building it again.
+    """
+    if kernel is None:
+        kernel = build_analytic(scenario)
     result = perturbed_gamma(scenario.m_y, kernel, scenario.omega_f)
     flags = _scenario_warnings(scenario)
     if flags:

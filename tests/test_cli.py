@@ -240,11 +240,44 @@ class TestRunSweep:
         cfg = rabi_config()
         cfg["sweep"] = {"path": "rabi.omega", "start": 0.05, "stop": 0.5,
                         "count": 12}
-        config = parse_config(cfg)
-        columns = sweep_columns(config.routes)
-        serial = render_rows(run_sweep(config, jobs=1), columns, "csv")
-        threaded = render_rows(run_sweep(config, jobs=4), columns, "csv")
-        assert serial == threaded
+        failing = rabi_config(
+            scenario={
+                "kind": "unstable",
+                "m_y": dict(FLAT_Y),
+                "omega_f": 0.0,
+                "lambda_r": 0.1,
+                "lambda_i": 0.5,
+            },
+            sweep={"path": "unstable.lambda_r", "values": [0.0, 0.5]},
+        )
+        # more workers than rows, and a row whose error crosses the pool
+        for raw, jobs in ((cfg, 4), (failing, 8)):
+            config = parse_config(raw)
+            columns = sweep_columns(config.routes)
+            serial = render_rows(run_sweep(config, jobs=1), columns, "csv")
+            pooled = render_rows(run_sweep(config, jobs=jobs), columns, "csv")
+            assert serial == pooled
+        assert ",error," in pooled and "fold the shift" in pooled
+
+    def test_rate_row_builds_one_kernel(self, monkeypatch):
+        import zenodecay.scenarios as scenarios
+
+        calls = []
+        transform = scenarios.kernel_from_dissipation
+
+        def counting(trace):
+            calls.append(trace)
+            return transform(trace)
+
+        monkeypatch.setattr(scenarios, "kernel_from_dissipation", counting)
+        cfg = rabi_config(
+            scenario={"kind": "scattering", "m_y": dict(FLAT_Y), "omega_f": 0.0,
+                      "rate": 1.0},
+            sweep={"path": "scattering.rate", "values": [1.0]},
+        )
+        rows = run_sweep(parse_config(cfg))
+        assert rows[0]["status"] == "ok"
+        assert len(calls) == 1
 
 
 class TestMain:
@@ -274,6 +307,14 @@ class TestMain:
         assert main(["run", cfg, "--out", str(out)]) == 1
         _, data = parse_csv(out.read_text())
         assert data[0][-1].startswith("zero width")
+
+    def test_run_rejects_jobs_below_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, rabi_config())
+        for jobs in ("0", "-3"):
+            assert main(["run", cfg, "--jobs", jobs]) == 2
+            captured = capsys.readouterr()
+            assert "--jobs" in captured.err
+            assert captured.out == ""
 
     def test_validate(self, tmp_path, capsys):
         cfg = write_config(tmp_path, rabi_config())

@@ -186,6 +186,15 @@ class TestPropagation:
         np.testing.assert_allclose(steps, steps[0], rtol=1e-12)
         assert traj.times[-1] == pytest.approx(3.0)
 
+    def test_last_sample_is_the_horizon(self):
+        # the grid has 6201 steps, and 6201 * (12.4 / 6201) is one ulp below 12.4
+        assert propagate(two_level(), 12.4, 0.002).times[-1] == 12.4
+        density = FlatDensity(level=0.05 / (2 * np.pi), support=(-5.0, 5.0))
+        model = build_decay_model(density, 0.0, 200)
+        trace = no_decay_amplitude(propagate(model, 12.4, 0.002), 0.0)
+        result, _ = fit_decay(trace, (2.0, 12.4), recurrence_time=model.recurrence_time)
+        assert result.gamma == pytest.approx(0.05, rel=0.05)
+
     def test_dt_above_stability_bound(self):
         with pytest.raises(ValueError, match="stability bound"):
             propagate(two_level(energy=10.0), 5.0, 0.1)
