@@ -12,7 +12,6 @@ from .errors import (
     DistributionalKernelError,
     DomainError,
     IllConditionedFitError,
-    NonstationaryDissipationError,
     NonUniformGridError,
     QuadratureError,
     StepTooLargeError,

@@ -19,6 +19,7 @@ import csv
 import functools
 import io
 import json
+import logging
 import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -47,6 +48,8 @@ from .spectral import FlatDensity, PowerLawDensity, TabulatedDensity
 __all__ = ["main", "parse_config", "run_sweep", "render_rows", "sweep_columns"]
 
 SCHEMA_VERSION = 1
+
+_log = logging.getLogger(__name__)
 
 _ROUTES = ("analytic", "dynamic", "both")
 
@@ -253,11 +256,13 @@ def _parse_controls(obj, path):
         dt=_get_number(obj, "dt", path, required=False),
         fit_window=window,
         sample_stride=_get(obj, "sample_stride", path, (int,), required=False),
-        eig_cutoff=_get(obj, "eig_cutoff", path, (int,), required=False,
-                        default=defaults.eig_cutoff),
         dim_budget=_get(obj, "dim_budget", path, (int,), required=False,
                         default=defaults.dim_budget),
     )
+    # schema version 1 still accepts eig_cutoff; every static model now takes
+    # the same propagator, so the value has nothing left to choose
+    if _get(obj, "eig_cutoff", path, (int,), required=False) is not None:
+        _log.warning("%s.eig_cutoff is ignored: static models have one propagator", path)
     if kwargs["n_y"] < 100:
         raise ConfigError(f"{path}.n_y", "must be at least 100")
     if kwargs["n_z"] < 50:
@@ -528,7 +533,6 @@ def _cmd_trace(args) -> int:
             args.horizon,
             controls.dt,
             sample_stride=controls.sample_stride,
-            eig_cutoff=controls.eig_cutoff,
             dim_budget=controls.dim_budget,
         )
         trace = no_decay_amplitude(trajectory, config.scenario.omega_f)

@@ -72,12 +72,6 @@ class IllConditionedFitError(ZenoError):
     slug = "ill_conditioned_fit"
 
 
-class NonstationaryDissipationError(ZenoError):
-    """Dissipation function depends on the interruption time, not only on the delay."""
-
-    slug = "nonstationary_dissipation"
-
-
 class VanishingDenominatorError(ZenoError):
     """Free-evolution reference amplitude too small to divide by."""
 

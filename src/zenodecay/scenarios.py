@@ -179,14 +179,13 @@ class DynamicControls:
     dt: float | None = None
     fit_window: tuple[float, float] | None = None
     sample_stride: int | None = None
-    eig_cutoff: int = 2048
     dim_budget: int = 50_000
 
 
-def _synthesize_exponential(rate: float, label: str = "") -> DissipationTrace:
+def _synthesize_exponential(rate: float, label: str = "", steps: int = 8000) -> DissipationTrace:
     """Sampled exp(-rate * tau) on the grid the transform was tuned for."""
     dt = 0.005 / rate
-    times = dt * np.arange(8001)
+    times = dt * np.arange(steps + 1)
     return DissipationTrace(times=times, values=np.exp(-rate * times), label=label)
 
 
@@ -406,18 +405,14 @@ def scenario_trace(
         return DissipationTrace(times=times, values=np.ones(2001, dtype=complex),
                                 label=scenario.label)
     if isinstance(scenario, ScatteringScenario) and scenario.m_z is None:
-        dt = 0.005 / scenario.rate
-        steps = max(64, int(np.ceil(horizon / dt)))
-        times = dt * np.arange(steps + 1)
-        return DissipationTrace(times=times, values=np.exp(-scenario.rate * times),
-                                label=scenario.label)
+        steps = max(64, int(np.ceil(horizon / (0.005 / scenario.rate))))
+        return _synthesize_exponential(scenario.rate, scenario.label, steps)
     model = build_trace_model(scenario, horizon, controls)
     return dissipation_trace(
         model,
         horizon,
         controls.dt,
         sample_stride=controls.sample_stride,
-        eig_cutoff=controls.eig_cutoff,
         dim_budget=controls.dim_budget,
     )
 
@@ -463,7 +458,6 @@ def dynamic_gamma(
         horizon,
         controls.dt,
         sample_stride=controls.sample_stride,
-        eig_cutoff=controls.eig_cutoff,
         dim_budget=controls.dim_budget,
     )
     trace = no_decay_amplitude(traj, scenario.omega_f)

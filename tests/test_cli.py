@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import logging
 import subprocess
 import sys
 
@@ -163,6 +164,21 @@ class TestParseConfig:
         ))
         assert config.controls.n_y == 200
         assert config.controls.fit_window == (2.0, 5.0)
+
+    def test_eig_cutoff_is_accepted_and_ignored(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="zenodecay.cli"):
+            config = parse_config(rabi_config(dynamic={"eig_cutoff": 0}))
+        assert config.controls == parse_config(rabi_config()).controls
+        assert "$.dynamic.eig_cutoff is ignored" in caplog.text
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="zenodecay.cli"):
+            parse_config(rabi_config(dynamic={"n_y": 200}))
+        assert caplog.text == ""
+
+    def test_eig_cutoff_must_be_int(self):
+        for bad in (2048.0, "2048", True):
+            with pytest.raises(ConfigError, match="eig_cutoff"):
+                parse_config(rabi_config(dynamic={"eig_cutoff": bad}))
 
     def test_output_validation(self):
         with pytest.raises(ConfigError, match="output"):

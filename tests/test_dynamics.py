@@ -48,6 +48,17 @@ def chain_model(rng, n=30, n_xi=15):
     )
 
 
+def zero_frequency_twin(model):
+    """The same Hamiltonian with W carried as a drive of frequency 0 (RK4)."""
+    return DiscretizedModel(
+        h0_diag=model.h0_diag,
+        xi_indices=model.xi_indices,
+        eta_indices=model.eta_indices,
+        v_xi=model.v_xi,
+        drive=DriveTerm(amplitude=model.w_static, frequency=0.0),
+    )
+
+
 def two_level(coupling=0.3, energy=0.7):
     return DiscretizedModel(
         h0_diag=np.array([energy, energy]),
@@ -144,36 +155,40 @@ class TestPropagation:
         trace = no_decay_amplitude(traj, 0.7)
         assert np.abs(trace.values - np.cos(0.3 * trace.times)).max() < 1e-12
 
-    def test_rk4_matches_eig_path(self):
+    @pytest.mark.parametrize("twin", [False, True], ids=["static", "zero_frequency_drive"])
+    def test_rk4_time_reversal(self, twin):
         model = chain_model(np.random.default_rng(7))
-        tr_eig = propagate(model, 5.0, 0.005)
-        tr_rk4 = propagate(model, 5.0, 0.005, eig_cutoff=0)
-        np.testing.assert_array_equal(tr_eig.times, tr_rk4.times)
-        assert np.abs(tr_eig.states - tr_rk4.states).max() < 1e-9
-
-    def test_rk4_time_reversal(self):
-        model = chain_model(np.random.default_rng(7))
-        fwd = propagate(model, 5.0, 0.005, eig_cutoff=0)
-        back = propagate(
-            model, -5.0, -0.005, eig_cutoff=0, initial_state=fwd.states[-1]
-        )
+        if twin:
+            model = zero_frequency_twin(model)
+        fwd = propagate(model, 5.0, 0.005)
+        back = propagate(model, -5.0, -0.005, initial_state=fwd.states[-1])
         psi0 = np.zeros(model.dimension, dtype=complex)
         psi0[0] = 1.0
         assert np.abs(back.states[-1] - psi0).max() < 1e-10
 
     def test_zero_frequency_drive_equals_static_w(self):
-        rng = np.random.default_rng(7)
-        static = chain_model(rng)
-        driven = DiscretizedModel(
-            h0_diag=static.h0_diag,
-            xi_indices=static.xi_indices,
-            eta_indices=static.eta_indices,
-            v_xi=static.v_xi,
-            drive=DriveTerm(amplitude=static.w_static, frequency=0.0),
-        )
+        static = chain_model(np.random.default_rng(7))
         tr_static = propagate(static, 5.0, 0.005)
-        tr_driven = propagate(driven, 5.0, 0.005)
+        tr_driven = propagate(zero_frequency_twin(static), 5.0, 0.005)
         assert np.abs(tr_static.states - tr_driven.states).max() < 1e-9
+
+    def test_static_path_ignores_global_rng(self):
+        # expm_multiply's 1-norm estimator draws from numpy's global RNG on
+        # both of these runs; the sampled states must not depend on its state
+        density = FlatDensity(level=0.05 / (2 * np.pi), support=(-5.0, 5.0))
+        cases = [(chain_model(np.random.default_rng(7)), 40.0),
+                 (build_decay_model(density, 0.0, 600), 12.4)]
+        saved = np.random.get_state()
+        try:
+            for model, horizon in cases:
+                runs = []
+                for seed in (0, 1, 2):
+                    np.random.seed(seed)
+                    runs.append(propagate(model, horizon, sample_stride=10).states)
+                for states in runs[1:]:
+                    assert np.array_equal(states, runs[0])
+        finally:
+            np.random.set_state(saved)
 
     def test_initial_sample_is_exact(self):
         traj = propagate(two_level(), 3.0)
@@ -216,17 +231,18 @@ class TestPropagation:
         n = 64
         leaves = np.arange(2, n)
         links = [(1, int(k), 1.0) for k in leaves]
+        # (the star is carried as a drive of frequency 0 so that RK4 steps it)
         star = DiscretizedModel(
             h0_diag=np.zeros(n),
             xi_indices=np.array([1]),
             eta_indices=leaves,
             v_xi=np.array([1e-6 + 0.0j]),
-            w_static=pair_coupling(n, links),
+            drive=DriveTerm(amplitude=pair_coupling(n, links), frequency=0.0),
         )
         center = np.zeros(n, dtype=complex)
         center[1] = 1.0
         with pytest.raises(StepTooLargeError):
-            propagate(star, 20.0, 0.05, initial_state=center, eig_cutoff=0)
+            propagate(star, 20.0, 0.05, initial_state=center)
 
 
 class TestAmplitudeTrace:
