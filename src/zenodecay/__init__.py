@@ -52,6 +52,7 @@ from .dynamics import (
     fit_decay,
     no_decay_amplitude,
     propagate,
+    survival_amplitude,
 )
 from .scenarios import (
     DynamicControls,

