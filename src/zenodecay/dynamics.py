@@ -8,10 +8,11 @@ transient and the discretization recurrence gives the dynamic decay
 constant; evolving V|psi0> under H0 + W alone gives the sampled
 dissipation function D(tau).
 
-Static models are evolved by a truncated Taylor series of the matrix
+Every model is evolved by a truncated Taylor series of the matrix
 exponential (Al-Mohy and Higham, SIAM J. Sci. Comput. 33 (2011) 488)
-over the uniform sample grid, driven models by classical RK4.  Both
-propagators hand their samples over in blocks of rows, so
+over the uniform sample grid; a driven model takes 4th-order
+commutator-free Magnus steps (CF4:2), each two such exponentials.  The
+propagator hands its samples over in blocks of rows, so
 survival_amplitude and dissipation_trace keep one reduced value per
 sample and never the full state matrix; propagate stacks the blocks.
 """
@@ -55,6 +56,12 @@ _HERMITICITY_TOL = 1e-12
 _NORM_DRIFT_LIMIT = 1e-6
 _DENOMINATOR_FLOOR = 1e-12
 _DEFAULT_DIM_BUDGET = 50_000
+# drive phase omega_d h of one CF4:2 step at most
+_DRIVE_PHASE_STEP = 0.5
+# CF4:2 weights of the drive at the two Gauss points of a step, and those
+# points as fractions of the step
+_CF4_WEIGHTS = ((3.0 + 2.0 * math.sqrt(3.0)) / 12.0, (3.0 - 2.0 * math.sqrt(3.0)) / 12.0)
+_CF4_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
 
 def _check_hermitian(mat, name):
@@ -259,7 +266,8 @@ def _energy_scale(model: DiscretizedModel, include_v: bool = True) -> float:
     return max(scales)
 
 
-def _time_grid(horizon, dt, scale, sample_stride, driven):
+def _time_grid(horizon, dt, scale, sample_stride):
+    """Sample times: every sample_stride-th point of a grid of spacing dt."""
     if horizon == 0 or not np.isfinite(horizon):
         raise ValueError("horizon must be finite and nonzero")
     if dt is None:
@@ -267,24 +275,17 @@ def _time_grid(horizon, dt, scale, sample_stride, driven):
         dt = np.copysign(step, horizon)
     if dt == 0 or np.sign(dt) != np.sign(horizon):
         raise ValueError("dt must be nonzero and share the sign of horizon")
-    n_steps = max(1, int(round(horizon / dt)))
+    n_dt = max(1, int(round(horizon / dt)))
     if sample_stride is None:
-        sample_stride = max(1, n_steps // 2000)
+        sample_stride = max(1, n_dt // 2000)
     sample_stride = int(sample_stride)
-    # round the step count up to a stride multiple so the sample grid stays
-    # uniform all the way to the horizon
-    n_steps = sample_stride * ((n_steps + sample_stride - 1) // sample_stride)
-    dt = horizon / n_steps
-    # only RK4 steps by dt; the Taylor propagator takes its own substeps
-    if driven and scale > 0 and abs(dt) > 0.05 / scale * (1.0 + 1e-12):
-        raise ValueError(
-            f"|dt| = {abs(dt):.3e} exceeds the stability bound {0.05 / scale:.3e}"
-        )
-    idx = np.arange(0, n_steps + 1, sample_stride)
-    times = idx * dt
-    # idx * (horizon / n_steps) can miss the horizon by an ulp
+    # round the grid up to a stride multiple so the samples stay uniform all
+    # the way to the horizon
+    n_dt = sample_stride * ((n_dt + sample_stride - 1) // sample_stride)
+    times = np.arange(0, n_dt + 1, sample_stride) * (horizon / n_dt)
+    # k * (horizon / n_dt) can miss the horizon by an ulp
     times[-1] = horizon
-    return dt, n_steps, idx, times
+    return times
 
 
 # theta_m: the largest ||A||_1 t for which the degree-m truncated Taylor
@@ -318,7 +319,7 @@ def _taylor_plan(x, intervals):
     best = None
     for m, theta in _TAYLOR_THETA.items():
         if x <= theta:
-            q = min(int(theta // x) if x > 0 else intervals, intervals, m + 1)
+            q = int(min(theta // x if x > 0 else intervals, intervals, m + 1))
             s = 1
         else:
             q, s = 1, math.ceil(x / theta)
@@ -328,14 +329,19 @@ def _taylor_plan(x, intervals):
     return best[1:]
 
 
-def _taylor_blocks(static, psi0, times):
+def _taylor_blocks(static, drive, psi0, times, t_offset=0.0):
     """exp(-i H t_j) psi0 on the uniform grid times, in blocks of rows.
 
     Truncated Taylor series (Al-Mohy and Higham 2011) of the generator
     shifted by its mean diagonal, whose exponential is an exact scalar
-    phase.  Each block expands once about its first state: the powers
+    phase.  A static block expands once about its first state: the powers
     B^p psi of the block's step B, weighted by (k/q)^p / p!, give its k-th
-    state, so one matrix product forms all q states.
+    state, so one matrix product forms all q states.  A driven sample
+    takes ceil(omega_d spacing / 0.5) CF4:2 steps, each two exponentials
+    of H_s/2 + c X with c drawn from the drive at the step's Gauss points
+    (Blanes and Moan, Appl. Numer. Math. 56 (2006) 1519); one stacked
+    product [H_s; X] gives both parts of a power, and every sample is its
+    own block.
     """
     n = psi0.size
     horizon = times[-1]
@@ -345,80 +351,66 @@ def _taylor_blocks(static, psi0, times):
     generator = (-1j * np.sign(horizon)) * (static - shift * sparse.identity(n, format="csr"))
     spacing = abs(horizon) / (times.size - 1)
     norm = float(abs(generator).sum(axis=0).max())
-    m, q, s = _taylor_plan(norm * spacing, times.size - 1)
-    step = (spacing * q / s) * generator
+    steps, intervals = 1, times.size - 1
+    if drive is not None:
+        steps = max(1, math.ceil(drive.frequency * spacing / _DRIVE_PHASE_STEP))
+        intervals = 1
+        amplitude = (-1j * np.sign(horizon)) * drive.amplitude
+        # |c| <= a + |b| = 1/sqrt(3)
+        norm = 0.5 * norm + float(abs(amplitude).sum(axis=0).max()) / math.sqrt(3.0)
+    h = spacing / steps
+    m, q, s = _taylor_plan(norm * h, intervals)
     orders = np.arange(m + 1)
     weights = (np.arange(1, q + 1) / q)[:, None] ** orders
     weights /= np.cumprod(np.maximum(orders, 1.0))
     powers = np.empty((m + 1, n), dtype=complex)
-    psi = np.array(psi0, dtype=complex, copy=True)
-    yield psi[None, :]
-    j = 1
-    while j < times.size:
-        rows = min(q, times.size - j)
+
+    def expand(apply, psi, rows):
         for _ in range(s):
             powers[0] = psi
             for p in range(1, m + 1):
-                powers[p] = step @ powers[p - 1]
+                powers[p] = apply(powers[p - 1])
             block = weights[:rows] @ powers
             psi = block[-1]
-        yield block * np.exp(-1j * shift * times[j : j + rows])[:, None]
-        j += rows
+        return block
 
-
-def _rk4_blocks(static, drive, psi0, dt, n_steps, idx, t_offset=0.0):
-    """Classical RK4 samples, handed over as one block.
-
-    BLAS rounds a product over a block differently from the same rows in
-    pieces; one block keeps a driven D(tau) overlap, and every output built
-    on it, independent of any block size.
-    """
     psi = np.array(psi0, dtype=complex, copy=True)
-    out = np.empty((idx.size, psi.size), dtype=complex)
-    out[0] = psi
-    n = psi.size
-    freq = drive.frequency
-    # -1j is folded into the generator once; multiplying by it is exact, so
-    # every stage keeps the floating-point result of -1j * (H x).  The static
-    # part sits on top and the drive amplitude below: one product gives both
-    generator = -1j * sparse.vstack([static, drive.amplitude], format="csr")
-
-    def rhs(t, x):
-        y = generator @ x
-        return y[:n] + np.cos(freq * (t + t_offset)) * y[n:]
-
-    ptr = 1
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    for k in range(n_steps):
-        t = k * dt
-        k1 = rhs(t, psi)
-        k2 = rhs(t + half, psi + half * k1)
-        k3 = rhs(t + half, psi + half * k2)
-        k4 = rhs(t + dt, psi + dt * k3)
-        psi = psi + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        if ptr < idx.size and k + 1 == idx[ptr]:
-            out[ptr] = psi
-            ptr += 1
-    yield out
+    yield psi[None, :]
+    if drive is None:
+        step = (h * q / s) * generator
+        j = 1
+        while j < times.size:
+            rows = min(q, times.size - j)
+            block = expand(step.__matmul__, psi, rows)
+            psi = block[-1]
+            yield block * np.exp(-1j * shift * times[j : j + rows])[:, None]
+            j += rows
+        return
+    # H_s/2 on top and the drive amplitude below, both over one substep
+    stacked = sparse.vstack([(0.5 * h / s) * generator, (h / s) * amplitude], format="csr")
+    a, b = _CF4_WEIGHTS
+    tau = math.copysign(h, horizon)
+    for j in range(1, times.size):
+        for k in range(steps):
+            t = t_offset + times[j - 1] + k * tau
+            c1, c2 = (math.cos(drive.frequency * (t + node * tau)) for node in _CF4_NODES)
+            for c in (a * c1 + b * c2, b * c1 + a * c2):
+                psi = expand(lambda x: (y := stacked @ x)[:n] + c * y[n:], psi, 1)[0]
+        yield psi[None, :] * np.exp(-1j * shift * times[j])
 
 
-def _evolve(static, drive, psi0, times, dt, n_steps, idx, t_offset=0.0):
+def _evolve(static, drive, psi0, times, t_offset=0.0):
     """The sampled states in consecutive row blocks, the first row psi0.
 
     A block whose norm drifted beyond 1e-6 of psi0's raises
     StepTooLargeError.
     """
-    if drive is None:
-        blocks = _taylor_blocks(static, psi0, times)
-    else:
-        blocks = _rk4_blocks(static, drive, psi0, dt, n_steps, idx, t_offset)
     norm0 = np.linalg.norm(psi0)
-    for block in blocks:
+    for block in _taylor_blocks(static, drive, psi0, times, t_offset):
         drift = float(np.abs(np.linalg.norm(block, axis=1) - norm0).max())
         if drift > _NORM_DRIFT_LIMIT * max(norm0, 1e-300):
             raise StepTooLargeError(
-                f"norm drifted by {drift:.3e}; reduce dt or shorten the horizon"
+                f"norm drifted by {drift:.3e}; a Taylor step outran its series"
             )
         yield block
 
@@ -435,11 +427,8 @@ def _sampled_blocks(model, horizon, dt, sample_stride, dim_budget, initial_state
         psi0 = np.asarray(initial_state, dtype=complex)
         if psi0.shape != (n,) or not np.all(np.isfinite(psi0)):
             raise ValueError("initial_state must be a finite length-n vector")
-    driven = model.drive is not None
-    dt, n_steps, idx, times = _time_grid(
-        horizon, dt, _energy_scale(model), sample_stride, driven
-    )
-    blocks = _evolve(_static_matrix(model), model.drive, psi0, times, dt, n_steps, idx)
+    times = _time_grid(horizon, dt, _energy_scale(model), sample_stride)
+    blocks = _evolve(_static_matrix(model), model.drive, psi0, times)
     return times, blocks
 
 
@@ -457,14 +446,15 @@ def propagate(
     Static models are evolved by a truncated Taylor series of the matrix
     exponential (Al-Mohy and Higham 2011), expanded once per block of
     samples and substepped where one sample spacing is too long for a
-    degree-55 series; driven models step with classical RK4, evaluating
-    the drive at the substage times.  dt defaults to 0.02 over the largest
-    energy scale and sets the sample grid through the sample stride; for
-    driven models it is also the RK4 step and must stay below 0.05 over
-    that scale.  A negative horizon (with negative dt) integrates
-    backwards.  Norm drift beyond 1e-6 raises StepTooLargeError.  Every
-    sampled state is kept; survival_amplitude keeps only the initial
-    level's amplitude.
+    degree-55 series.  Driven models take CF4:2 commutator-free Magnus
+    steps (Blanes and Moan 2006), each two such exponentials with the
+    drive read at the step's Gauss points, and as many steps per sample
+    as keep the drive phase of a step at or below 0.5.  dt defaults to
+    0.02 over the largest energy scale and, through the sample stride,
+    sets only the sample grid.  A negative horizon (with negative dt)
+    integrates backwards.  Norm drift beyond 1e-6 raises
+    StepTooLargeError.  Every sampled state is kept; survival_amplitude
+    keeps only the initial level's amplitude.
     """
     times, blocks = _sampled_blocks(
         model, horizon, dt, sample_stride, dim_budget, initial_state
@@ -490,9 +480,8 @@ def survival_amplitude(
     Propagates as propagate does, from the initial level, on the same
     sample grid and to the same bits as
     no_decay_amplitude(propagate(...), E0), but keeps only the first
-    component of each block of states.  For static models memory
-    therefore grows with the number of samples or with the dimension,
-    never with their product.
+    component of each block of states.  Memory therefore grows with the
+    number of samples or with the dimension, never with their product.
     """
     times, blocks = _sampled_blocks(model, horizon, dt, sample_stride, dim_budget)
     # a copy, so that no block outlives its turn
@@ -586,10 +575,7 @@ def dissipation_trace(
     phi[model.xi_indices] = model.v_xi
     phi /= np.linalg.norm(phi)
 
-    scale = _energy_scale(model, include_v=False)
-    dt, n_steps, idx, times = _time_grid(
-        horizon, dt, scale, sample_stride, model.drive is not None
-    )
+    times = _time_grid(horizon, dt, _energy_scale(model, include_v=False), sample_stride)
 
     weights = np.abs(phi[model.xi_indices]) ** 2
     energies = model.h0_diag[model.xi_indices]
@@ -605,7 +591,7 @@ def dissipation_trace(
     bra = np.conj(phi)
 
     def overlap(t_offset=0.0):
-        blocks = _evolve(static, model.drive, phi, times, dt, n_steps, idx, t_offset)
+        blocks = _evolve(static, model.drive, phi, times, t_offset)
         return np.concatenate([block @ bra for block in blocks])
 
     numerator = overlap()

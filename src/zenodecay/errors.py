@@ -49,7 +49,7 @@ class DomainError(ZenoError):
 
 
 class StepTooLargeError(ZenoError):
-    """Propagation norm drift exceeded budget; reduce the time step."""
+    """Propagation norm drift exceeded budget: a Taylor step outran its series."""
 
     slug = "step_too_large"
 

@@ -1,9 +1,14 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import linalg, sparse
+from scipy.integrate import solve_ivp
 
+from zenodecay import dynamics
 from zenodecay.dynamics import (
     MICROMOTION_WARNING,
     AmplitudeTrace,
@@ -52,7 +57,7 @@ def chain_model(rng, n=30, n_xi=15):
 
 
 def zero_frequency_twin(model, frequency=0.0):
-    """W carried as a drive (RK4); at frequency 0 the Hamiltonian is the same."""
+    """W carried as a drive; at frequency 0 the Hamiltonian is the same."""
     n = model.dimension
     w = model.w_static if model.w_static is not None else sparse.csr_matrix((n, n))
     return DiscretizedModel(
@@ -64,14 +69,19 @@ def zero_frequency_twin(model, frequency=0.0):
     )
 
 
-def eigh_states(model, times, psi0):
-    """Dense reference: exp(-i H t) psi0 from the eigendecomposition of H."""
+def dense_static(model):
+    """The time-independent Hamiltonian H0 + V + W_static as a dense matrix."""
     h = np.diag(model.h0_diag).astype(complex)
     h[model.xi_indices, 0] = model.v_xi
     h[0, model.xi_indices] = np.conj(model.v_xi)
     if model.w_static is not None:
         h += model.w_static.toarray()
-    energies, vectors = linalg.eigh(h)
+    return h
+
+
+def eigh_states(model, times, psi0):
+    """Dense reference: exp(-i H t) psi0 from the eigendecomposition of H."""
+    energies, vectors = linalg.eigh(dense_static(model))
     coeffs = vectors.conj().T @ psi0
     return (np.exp(-1j * np.outer(times, energies)) * coeffs) @ vectors.T
 
@@ -173,7 +183,7 @@ class TestPropagation:
         assert np.abs(trace.values - np.cos(0.3 * trace.times)).max() < 1e-12
 
     @pytest.mark.parametrize("twin", [False, True], ids=["static", "zero_frequency_drive"])
-    def test_rk4_time_reversal(self, twin):
+    def test_time_reversal(self, twin):
         model = chain_model(np.random.default_rng(7))
         if twin:
             model = zero_frequency_twin(model)
@@ -227,10 +237,33 @@ class TestPropagation:
         result, _ = fit_decay(trace, (2.0, 12.4), recurrence_time=model.recurrence_time)
         assert result.gamma == pytest.approx(0.05, rel=0.05)
 
-    def test_dt_above_stability_bound(self):
-        # only RK4 steps by dt, so the bound holds for driven models
-        with pytest.raises(ValueError, match="stability bound"):
-            propagate(zero_frequency_twin(two_level(energy=10.0)), 5.0, 0.1)
+    @staticmethod
+    def driven_error(monkeypatch, phase_step=None):
+        """Largest state error of the driven chain at dt = 0.5 against DOP853."""
+        if phase_step is not None:
+            monkeypatch.setattr(dynamics, "_DRIVE_PHASE_STEP", phase_step)
+        model = zero_frequency_twin(chain_model(np.random.default_rng(7)), 1.3)
+        traj = propagate(model, 20.0, 0.5)
+        static = dense_static(model)
+        drive = model.drive.amplitude.toarray()
+        psi0 = np.zeros(model.dimension, dtype=complex)
+        psi0[0] = 1.0
+        reference = solve_ivp(
+            lambda t, y: -1j * ((static + np.cos(1.3 * t) * drive) @ y),
+            (0.0, 20.0), psi0, method="DOP853", t_eval=traj.times,
+            rtol=1e-13, atol=1e-13,
+        ).y.T
+        return np.abs(traj.states - reference).max()
+
+    def test_driven_dt_sets_only_the_sample_grid(self, monkeypatch):
+        # a sample spacing of 0.5 at drive frequency 1.3 takes two CF4:2 steps
+        assert self.driven_error(monkeypatch) < 1e-6
+
+    def test_driven_step_is_fourth_order(self, monkeypatch):
+        # phase 0.25 takes 3 steps per sample and 0.125 takes 6: half the step
+        coarse = self.driven_error(monkeypatch, 0.25)
+        fine = self.driven_error(monkeypatch, 0.125)
+        assert fine * 8.0 < coarse
 
     # the second case has no slack in theta_m: the 1-norm of a two-level
     # generator is its spectral radius, and blocks twice as long err by 1e-4
@@ -254,24 +287,15 @@ class TestPropagation:
         with pytest.raises(DimensionOverBudgetError):
             propagate(model, 1.0, dim_budget=10)
 
-    def test_norm_drift_guard_trips_on_stiff_graph(self):
-        # a star of 62 leaves oscillates at sqrt(62) times the entry scale,
-        # so a step chosen from the entry scale is far too coarse
-        n = 64
-        leaves = np.arange(2, n)
-        links = [(1, int(k), 1.0) for k in leaves]
-        # (the star is carried as a drive of frequency 0 so that RK4 steps it)
-        star = DiscretizedModel(
-            h0_diag=np.zeros(n),
-            xi_indices=np.array([1]),
-            eta_indices=leaves,
-            v_xi=np.array([1e-6 + 0.0j]),
-            drive=DriveTerm(amplitude=pair_coupling(n, links), frequency=0.0),
-        )
-        center = np.zeros(n, dtype=complex)
-        center[1] = 1.0
+    @pytest.mark.parametrize("frequency", [None, 1.3], ids=["static", "driven"])
+    def test_norm_drift_guard_trips_on_overstated_theta(self, monkeypatch, frequency):
+        # a degree-2 series trusted out to ||A|| t = 10 outruns its step
+        monkeypatch.setattr(dynamics, "_TAYLOR_THETA", {2: 10.0})
+        model = chain_model(np.random.default_rng(7))
+        if frequency is not None:
+            model = zero_frequency_twin(model, frequency)
         with pytest.raises(StepTooLargeError):
-            propagate(star, 20.0, 0.05, initial_state=center)
+            propagate(model, 20.0, 0.5)
 
 
 class TestTaylorPropagator:
@@ -280,6 +304,20 @@ class TestTaylorPropagator:
         psi0 = np.zeros(model.dimension, dtype=complex)
         psi0[0] = 1.0
         return psi0
+
+    # theta_55 = 9.9, so x up to 1e3 takes up to about 100 substeps
+    @given(x=st.floats(0.0, 1e3), intervals=st.integers(1, 100_000))
+    @example(x=0.0, intervals=1).via("no motion")
+    @example(x=9.9, intervals=7).via("theta_55 itself")
+    @example(x=500.0, intervals=7).via("far past theta_55")
+    def test_taylor_plan_invariants(self, x, intervals):
+        m, q, s = dynamics._taylor_plan(x, intervals)
+        theta = dynamics._TAYLOR_THETA[m]
+        assert q <= m + 1 and q <= intervals
+        if s == 1:
+            assert q * x <= theta
+        else:
+            assert q == 1 and s * theta >= x
 
     # at |dt| = 0.5 the block length, not the basis size, is what theta_m
     # bounds; at dt = 20 one sample spacing is past theta_55
@@ -315,9 +353,15 @@ class TestTaylorPropagator:
         assert np.array_equal(trace.times, full.times)
         assert np.array_equal(trace.values, full.values)
 
-    def test_survival_amplitude_keeps_no_state_matrix(self):
+    @pytest.mark.parametrize("frequency", [None, 1.3], ids=["static", "driven"])
+    def test_survival_amplitude_keeps_no_state_matrix(self, frequency):
         density = FlatDensity(level=0.05 / (2 * np.pi), support=(-5.0, 5.0))
         model = build_decay_model(density, 0.0, 2000)
+        if frequency is not None:
+            # the drive exchanges neighbouring modes
+            links = [(k, k + 1, 0.01) for k in range(1, model.dimension - 1, 2)]
+            drive = DriveTerm(pair_coupling(model.dimension, links), frequency)
+            model = replace(model, drive=drive)
         tracemalloc.start()
         try:
             trace = survival_amplitude(model, 8.0)
