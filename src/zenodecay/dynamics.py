@@ -11,7 +11,10 @@ dissipation function D(tau).
 Every model is evolved by a truncated Taylor series of the matrix
 exponential (Al-Mohy and Higham, SIAM J. Sci. Comput. 33 (2011) 488)
 over the uniform sample grid; a driven model takes 4th-order
-commutator-free Magnus steps (CF4:2), each two such exponentials.  The
+commutator-free Magnus steps (CF4:2), each two such exponentials.  Each
+power of the series is one sparse product written into its row of the
+Taylor basis; a driven model keeps H_s/2 and the drive amplitude on one
+sparsity pattern, so the matrix of an exponential is one data array.  The
 propagator hands its samples over in blocks of rows, so
 survival_amplitude and dissipation_trace keep one reduced value per
 sample and never the full state matrix; propagate stacks the blocks.
@@ -24,6 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+# the kernel behind `A @ x`, called without the per-product dispatch that
+# costs more than the product itself on small models
+from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import (
     DimensionOverBudgetError,
@@ -88,7 +94,7 @@ class DriveTerm:
     def __post_init__(self):
         amp = sparse.csr_matrix(self.amplitude, dtype=complex)
         if not (np.isfinite(self.frequency) and self.frequency >= 0):
-            raise ValueError(f"drive frequency must be finite and nonnegative")
+            raise ValueError("drive frequency must be finite and nonnegative")
         _check_hermitian(amp, "drive amplitude")
         object.__setattr__(self, "amplitude", amp)
 
@@ -329,6 +335,26 @@ def _taylor_plan(x, intervals):
     return best[1:]
 
 
+def _matvec(indptr, indices, data, x, out):
+    """out = A x for the square CSR matrix A = (data, indices, indptr)."""
+    out.fill(0)
+    # csr_matvec adds A x to out
+    csr_matvec(out.size, out.size, indptr, indices, data, x, out)
+
+
+def _shared_pattern(a, b):
+    """(indptr, indices, a data, b data): a and b on the union of their patterns.
+
+    Both are converted from one coordinate list in which the other's
+    entries are explicit zeros, so the two share indptr and indices.
+    """
+    a, b = a.tocoo(), b.tocoo()
+    coords = (np.concatenate([a.row, b.row]), np.concatenate([a.col, b.col]))
+    on_a = sparse.csr_matrix((np.concatenate([a.data, np.zeros_like(b.data)]), coords), a.shape)
+    on_b = sparse.csr_matrix((np.concatenate([np.zeros_like(a.data), b.data]), coords), a.shape)
+    return on_a.indptr, on_a.indices, on_a.data, on_b.data
+
+
 def _taylor_blocks(static, drive, psi0, times, t_offset=0.0):
     """exp(-i H t_j) psi0 on the uniform grid times, in blocks of rows.
 
@@ -339,9 +365,10 @@ def _taylor_blocks(static, drive, psi0, times, t_offset=0.0):
     state, so one matrix product forms all q states.  A driven sample
     takes ceil(omega_d spacing / 0.5) CF4:2 steps, each two exponentials
     of H_s/2 + c X with c drawn from the drive at the step's Gauss points
-    (Blanes and Moan, Appl. Numer. Math. 56 (2006) 1519); one stacked
-    product [H_s; X] gives both parts of a power, and every sample is its
-    own block.
+    (Blanes and Moan, Appl. Numer. Math. 56 (2006) 1519); H_s/2 and X
+    share one sparsity pattern, so each exponential first writes the data
+    of H_s/2 + c X into one buffer, and every sample is its own block.
+    Each power is one sparse product written into its row of the basis.
     """
     n = psi0.size
     horizon = times[-1]
@@ -365,11 +392,11 @@ def _taylor_blocks(static, drive, psi0, times, t_offset=0.0):
     weights /= np.cumprod(np.maximum(orders, 1.0))
     powers = np.empty((m + 1, n), dtype=complex)
 
-    def expand(apply, psi, rows):
+    def expand(indptr, indices, data, psi, rows):
         for _ in range(s):
             powers[0] = psi
             for p in range(1, m + 1):
-                powers[p] = apply(powers[p - 1])
+                _matvec(indptr, indices, data, powers[p - 1], powers[p])
             block = weights[:rows] @ powers
             psi = block[-1]
         return block
@@ -381,13 +408,16 @@ def _taylor_blocks(static, drive, psi0, times, t_offset=0.0):
         j = 1
         while j < times.size:
             rows = min(q, times.size - j)
-            block = expand(step.__matmul__, psi, rows)
+            block = expand(step.indptr, step.indices, step.data, psi, rows)
             psi = block[-1]
             yield block * np.exp(-1j * shift * times[j : j + rows])[:, None]
             j += rows
         return
-    # H_s/2 on top and the drive amplitude below, both over one substep
-    stacked = sparse.vstack([(0.5 * h / s) * generator, (h / s) * amplitude], format="csr")
+    # H_s/2 and the drive amplitude, both over one substep
+    indptr, indices, h_data, x_data = _shared_pattern(
+        (0.5 * h / s) * generator, (h / s) * amplitude
+    )
+    data = np.empty_like(h_data)
     a, b = _CF4_WEIGHTS
     tau = math.copysign(h, horizon)
     for j in range(1, times.size):
@@ -395,7 +425,9 @@ def _taylor_blocks(static, drive, psi0, times, t_offset=0.0):
             t = t_offset + times[j - 1] + k * tau
             c1, c2 = (math.cos(drive.frequency * (t + node * tau)) for node in _CF4_NODES)
             for c in (a * c1 + b * c2, b * c1 + a * c2):
-                psi = expand(lambda x: (y := stacked @ x)[:n] + c * y[n:], psi, 1)[0]
+                np.multiply(x_data, c, out=data)
+                np.add(data, h_data, out=data)
+                psi = expand(indptr, indices, data, psi, 1)[0]
         yield psi[None, :] * np.exp(-1j * shift * times[j])
 
 
@@ -447,9 +479,10 @@ def propagate(
     exponential (Al-Mohy and Higham 2011), expanded once per block of
     samples and substepped where one sample spacing is too long for a
     degree-55 series.  Driven models take CF4:2 commutator-free Magnus
-    steps (Blanes and Moan 2006), each two such exponentials with the
-    drive read at the step's Gauss points, and as many steps per sample
-    as keep the drive phase of a step at or below 0.5.  dt defaults to
+    steps (Blanes and Moan 2006), each two such exponentials of
+    H_s/2 + c X with c read from the drive at the step's Gauss points, and
+    as many steps per sample as keep the drive phase of a step at or below
+    0.5.  Every Taylor power is one sparse product.  dt defaults to
     0.02 over the largest energy scale and, through the sample stride,
     sets only the sample grid.  A negative horizon (with negative dt)
     integrates backwards.  Norm drift beyond 1e-6 raises

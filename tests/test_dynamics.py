@@ -343,6 +343,60 @@ class TestTaylorPropagator:
         reference = eigh_states(model, traj.times, self.initial(model))
         assert np.abs(traj.states - reference).max() < 1e-12
 
+    @given(n=st.integers(1, 50), density=st.floats(0.0, 1.0),
+           index_dtype=st.sampled_from([np.int32, np.int64]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matvec_matches_scipy_product_bit_for_bit(self, n, density, index_dtype, seed):
+        # _matvec calls scipy's private csr_matvec; a release that changes
+        # that kernel must fail here rather than drift
+        rng = np.random.default_rng(seed)
+        mask = rng.random((n, n)) < density
+        mask[rng.integers(n)] = False
+        indptr = np.concatenate(([0], np.cumsum(mask.sum(axis=1))))
+        # each row's columns in random order: unsorted indices
+        indices = np.concatenate([rng.permutation(np.flatnonzero(row)) for row in mask])
+        data = rng.normal(size=indices.size) + 1j * rng.normal(size=indices.size)
+        mat = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+        mat.indptr = mat.indptr.astype(index_dtype)
+        mat.indices = mat.indices.astype(index_dtype)
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        out = np.full(n, np.nan, dtype=complex)
+        dynamics._matvec(mat.indptr, mat.indices, mat.data, x, out)
+        assert out.tobytes() == (mat @ x).tobytes()
+
+    @given(n=st.integers(3, 30), drive=st.sampled_from(["overlap", "disjoint", "empty",
+                                                        "zeroed_diagonal"]),
+           c=st.floats(-1.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_fused_drive_data_matches_separate_products(self, n, drive, c, seed):
+        rng = np.random.default_rng(seed)
+
+        def links(offset):
+            return [(k, k + offset, rng.normal() + 1j * rng.normal()) for k in range(n - offset)]
+
+        # equal diagonal entries but two, set off symmetrically: the mean is
+        # exact, and the shift clears every other diagonal entry
+        diagonal = np.full(n, 0.25)
+        diagonal[0] += 0.125
+        diagonal[-1] -= 0.125
+        static = sparse.diags(diagonal.astype(complex), format="csr") + pair_coupling(n, links(1))
+        shift = float(static.diagonal().real.mean())
+        half = 0.5 * (-1j) * (static - shift * sparse.identity(n, format="csr"))
+        # the shift left no stored entry at (1, 1)
+        assert 1 not in half.indices[half.indptr[1]:half.indptr[2]]
+        amplitude = {
+            "overlap": pair_coupling(n, links(1)),
+            "disjoint": pair_coupling(n, links(2)),
+            "empty": sparse.csr_matrix((n, n), dtype=complex),
+            "zeroed_diagonal": sparse.csr_matrix(([rng.normal()], ([1], [1])), shape=(n, n)),
+        }[drive] * (-1j)
+        indptr, indices, h_data, x_data = dynamics._shared_pattern(half, amplitude)
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        fused = np.empty(n, dtype=complex)
+        dynamics._matvec(indptr, indices, h_data + c * x_data, v, fused)
+        separate = (half @ v, c * (amplitude @ v))
+        scale = sum(np.linalg.norm(part) for part in separate)
+        assert np.linalg.norm(fused - sum(separate)) <= 1e-13 * scale
+
     @pytest.mark.parametrize("frequency", [None, 1.3], ids=["static", "driven"])
     def test_survival_amplitude_equals_full_trajectory(self, frequency):
         model = chain_model(np.random.default_rng(7))
