@@ -393,17 +393,11 @@ def _evaluate_row(config: ParsedConfig, value: float) -> dict:
         row["gamma0"] = gamma0
         row["ratio"] = ratio
         row["status"] = "ok"
-    except ZenoError as exc:
-        for key in row:
-            if key not in ("sweep_param", "sweep_value", "warnings"):
-                row[key] = None
-        row["status"] = exc.slug
-        flags.append(str(exc))
     except Exception as exc:  # row-level failure must not abort the sweep
         for key in row:
             if key not in ("sweep_param", "sweep_value", "warnings"):
                 row[key] = None
-        row["status"] = "error"
+        row["status"] = exc.slug if isinstance(exc, ZenoError) else "error"
         flags.append(str(exc))
     row["warnings"] = ";".join(flags)
     return row

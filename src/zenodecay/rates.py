@@ -3,7 +3,8 @@
 The bare rate is gamma0 = 2 pi M(E0).  With a broadening kernel Delta the
 perturbed rate becomes gamma = 2 pi int M(omega) Delta(omega - E0) domega,
 integrated over the declared support of M.  Closed forms cover the atomic
-kernels; Lorentzian and sampled kernels go through adaptive quadrature.
+kernels; a Lorentzian is one adaptive quadrature over an angle in which it
+is flat, and sampled kernels take Gauss rules between their nodes.
 """
 
 from __future__ import annotations
@@ -119,24 +120,24 @@ def _run_quad(func, lo, hi, points):
 
 
 def _lorentzian_gamma(density, kernel, e0):
+    # theta = arctan(x) - arctan(x_lo), x = (omega - center)/lam, as one arctan2
+    # so that no two nearly equal arctans are subtracted; integrand inverts it
     lo, hi = density.support
     center = e0 + kernel.shift
     lam = kernel.width
-    if lam < 1e-3 * (hi - lo):
-        # arctan substitution flattens the peak for widths far below the support scale
-        u_lo = np.arctan((lo - center) / lam)
-        u_hi = np.arctan((hi - center) / lam)
-        knots = _breakpoints(density, lo, hi, extra=(center,))
-        u_pts = sorted(np.arctan((np.asarray(knots) - center) / lam)) if knots else None
-        value, abserr = _run_quad(
-            lambda u: density(center + lam * np.tan(u)), u_lo, u_hi, u_pts
-        )
-        return 2.0 * value, 2.0 * abserr
-    pts = _breakpoints(density, lo, hi, extra=(center,))
-    value, abserr = _run_quad(
-        lambda w: density(w) * kernel.density(w - e0), lo, hi, pts
-    )
-    return 2.0 * np.pi * value, 2.0 * np.pi * abserr
+    x_lo = (lo - center) / lam
+
+    def angle(omega):
+        return np.arctan2((omega - lo) / lam, 1.0 + (omega - center) / lam * x_lo)
+
+    def integrand(theta):
+        s, c = np.sin(theta), np.cos(theta)
+        return density(lo + lam * (1.0 + x_lo * x_lo) * s / (c - x_lo * s))
+
+    knots = _breakpoints(density, lo, hi, extra=(center,))
+    pts = list(angle(np.asarray(knots))) if knots else None
+    value, abserr = _run_quad(integrand, 0.0, angle(hi), pts)
+    return 2.0 * value, 2.0 * abserr
 
 
 def _panel_sum(density, kernel, e0, edges, nodes, weights):
@@ -169,10 +170,11 @@ def perturbed_gamma(
 ) -> DecayRateResult:
     """Rate with final-state broadening folded in.
 
-    Atomic kernels reduce to weighted golden-rule evaluations; the others
-    integrate M(omega) Delta(omega - E0) over the support of M with relative
-    tolerance 1e-8, splitting panels at the kernel center and any tabulation
-    knots.  The result is checked against the kernel-mass bound
+    Atomic kernels reduce to weighted golden-rule evaluations.  A Lorentzian
+    centered at c is flat in theta = arctan((omega - c)/lambda) measured from
+    the lower support edge, so gamma = 2 int M(omega(theta)) dtheta, split at
+    c and any tabulation knots; a sampled kernel takes Gauss rules between
+    its nodes.  The result is checked against the kernel-mass bound
     gamma <= 2 pi sup M.
     """
     if kernel.is_distributional:
@@ -216,7 +218,7 @@ def unstable_level_gamma(
         raise ValueError("tail_level must be nonnegative")
     hi = density.support[1]
     center = omega_f + shift
-    tail = 2.0 * tail_level * (0.5 * np.pi - np.arctan((hi - center) / width))
+    tail = 2.0 * tail_level * np.arctan2(width, hi - center)
     return _make_result(
         result.gamma + tail,
         result.gamma0,

@@ -419,12 +419,11 @@ def kernel_from_dissipation(trace: DissipationTrace, eps_max: float | None = Non
     k_max = int(np.ceil(eps_max / d_eps))
     k = np.arange(-k_max, k_max + 1)
 
+    # f_neg[(-k) % m_fft] equals f_pos[k % m_fft] up to rounding, but taking it
+    # from the conjugate trace makes a real trace's kernel even bit for bit
     m_fft = 2 * (n - 1)
-    pad = np.zeros(m_fft, dtype=complex)
-    pad[:n] = g
-    f_pos = np.fft.fft(pad)
-    pad[:n] = np.conj(g)
-    f_neg = np.conj(np.fft.fft(pad))
+    f_pos = np.fft.fft(g, m_fft)
+    f_neg = np.conj(np.fft.fft(np.conj(g), m_fft))
     node_sum = np.where(k >= 0, f_pos[k % m_fft], f_neg[(-k) % m_fft])
 
     theta = np.pi * k / (n - 1)

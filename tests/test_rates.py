@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from zenodecay.errors import DomainError, QuadratureError
 from zenodecay.rates import (
@@ -106,6 +108,29 @@ class TestLorentzianQuadrature:
         expected = flat_lorentzian_oracle(self.LEVEL, self.SUPPORT, 1e-6, self.E0)
         assert result.gamma == pytest.approx(expected, rel=1e-8)
 
+    @given(lo=st.floats(-10.0, 10.0), log_support=st.floats(-3.0, 3.0),
+           log_ratio=st.floats(-6.0, 4.0), side=st.sampled_from(["inside", "below", "above"]),
+           frac=st.floats(0.0, 1.0), log_dist=st.floats(-3.0, 6.0), shift=st.floats(-1.0, 1.0))
+    @example(lo=-5.0, log_support=1.0, log_ratio=-6.0, side="above", frac=0.0,
+             log_dist=6.0, shift=0.0).via("narrow kernel far above the support")
+    @example(lo=-5.0, log_support=1.0, log_ratio=-6.0, side="below", frac=0.0,
+             log_dist=6.0, shift=0.5).via("narrow kernel far below the support")
+    def test_flat_density_matches_one_angle_oracle(self, lo, log_support, log_ratio, side,
+                                                   frac, log_dist, shift):
+        support = 10.0**log_support
+        hi = lo + support
+        width = support * 10.0**log_ratio
+        offset = width * 10.0**log_dist
+        center = {"inside": lo + frac * support, "below": lo - offset, "above": hi + offset}[side]
+        e0 = center - shift
+        dens = FlatDensity(level=self.LEVEL, support=(lo, hi))
+        result = perturbed_gamma(dens, LorentzianKernel(width, shift), e0)
+        # arctan(x_hi) - arctan(x_lo) as one angle, so that nothing cancels
+        x_lo = (lo - (e0 + shift)) / width
+        x_hi = (hi - (e0 + shift)) / width
+        expected = 2.0 * self.LEVEL * np.arctan2((hi - lo) / width, 1.0 + x_lo * x_hi)
+        assert result.gamma == pytest.approx(expected, rel=1e-10, abs=0.0)
+
     def test_spike_density_reads_kernel_peak(self):
         # a density much narrower than the kernel samples its peak value
         delta, lam, level = 1e-3, 1.0, 2.0
@@ -178,6 +203,17 @@ class TestUnstableLevel:
         # center sits at 1.0; the tail restores the flat line above omega = 2
         expected = 2.0 * level * (0.5 * np.pi + np.arctan(1.0 / width))
         assert result.gamma == pytest.approx(expected, rel=1e-8)
+
+    def test_tail_far_below_upper_edge(self):
+        # the centre sits 1e9 widths below a unit support, so nearly all of
+        # the rate is tail; together they are the flat line above omega = 0
+        level, x_lo = 0.3, 1e9
+        dens = FlatDensity(level=level, support=(0.0, 1.0))
+        result = unstable_level_gamma(
+            dens, width=1.0, shift=0.0, omega_f=-x_lo, tail_level=level
+        )
+        expected = 2.0 * level * np.arctan(1.0 / x_lo)
+        assert result.gamma == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_negative_tail_rejected(self):
         dens = FlatDensity(level=1.0, support=(0.0, 1.0))

@@ -209,6 +209,34 @@ class TestKernelFromDissipation:
         assert errors[0] > errors[1] > errors[2]
         assert errors[2] < 1e-3
 
+    def test_transform_matches_direct_node_sum(self):
+        # exact transform of the tapered linear interpolant, summed cell by
+        # cell: h exp(-i theta j) (g_j A + g_{j+1} B), A and B by Gauss-Legendre
+        n, h = 64, 0.25
+        t = h * np.arange(n)
+        rng = np.random.default_rng(7)
+        values = np.exp(-(0.05 - 0.7j) * t) * (0.6 + 0.4 * rng.random(n))
+        values[0] = 1.0
+        kernel = kernel_from_dissipation(DissipationTrace(times=t, values=values))
+        t_eff = t[-1]
+        k = np.rint(kernel.eps * t_eff / np.pi).astype(int)
+        assert k[0] <= -8 * (n - 1) and k[-1] >= 8 * (n - 1)
+
+        g = values.copy()
+        tail = t > 0.9 * t_eff
+        g[tail] *= 0.5 * (1.0 + np.cos(np.pi * (t[tail] - 0.9 * t_eff) / (0.1 * t_eff)))
+        theta = np.pi * k / (n - 1)
+        u, wq = np.polynomial.legendre.leggauss(40)
+        u, wq = 0.5 * (u + 1.0), 0.5 * wq
+        phase = np.exp(-1j * np.outer(theta, u))
+        a, b = phase @ (wq * (1.0 - u)), phase @ (wq * u)
+        # theta j reduced exactly, modulo 2 pi, through the integer k j
+        j = np.arange(n - 1)
+        cells = np.exp(-1j * np.pi * (np.outer(k, j) % (2 * (n - 1))) / (n - 1))
+        direct = h * (cells @ g[:-1] * a + cells @ g[1:] * b).real / np.pi
+        scale = np.abs(direct).max()
+        np.testing.assert_allclose(kernel.values, direct, rtol=0.0, atol=1e-12 * scale)
+
     def test_short_trace_rejected(self):
         t = np.linspace(0.0, 1.0, 32)
         trace = DissipationTrace(times=t, values=np.ones(32, dtype=complex))
