@@ -15,6 +15,7 @@ config and byte-identical for every --jobs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -63,6 +64,13 @@ _SWEEP_PATHS = {
     "scattering.rate": (ScatteringScenario, "rate"),
 }
 
+# schema-1 keys of the dynamic block that still load, as ints, but choose
+# nothing any more: key -> why it is ignored
+_IGNORED_CONTROLS = {
+    "eig_cutoff": "static models have one propagator",
+    "sample_stride": "the stride is set by the horizon and dt",
+}
+
 
 def _type_name(types) -> str:
     names = [t.__name__ for t in types]
@@ -86,11 +94,17 @@ def _get(mapping, key, path, types, required=True, default=None):
     return value
 
 
+def _finite(value) -> bool:
+    # an int compares with a float exactly, so a JSON integer beyond the
+    # double range fails here instead of overflowing in float()
+    return abs(value) <= sys.float_info.max
+
+
 def _get_number(mapping, key, path, required=True, default=None):
     value = _get(mapping, key, path, (int, float), required=required, default=default)
     if value is None:
         return None
-    if not np.isfinite(value):
+    if not _finite(value):
         raise ConfigError(f"{path}.{key}", "must be finite")
     return float(value)
 
@@ -105,9 +119,10 @@ def _parse_pair(value, path):
     if (
         not isinstance(value, list)
         or len(value) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) and _finite(v)
+                   for v in value)
     ):
-        raise ConfigError(path, "expected a [low, high] pair of numbers")
+        raise ConfigError(path, "expected a [low, high] pair of finite numbers")
     return float(value[0]), float(value[1])
 
 
@@ -209,9 +224,9 @@ def _parse_sweep(obj, scenario, path):
             raise ConfigError(f"{path}.values", "must be nonempty")
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw):
             raise ConfigError(f"{path}.values", "must all be numbers")
-        values = np.asarray(raw, dtype=float)
-        if not np.all(np.isfinite(values)):
+        if not all(_finite(v) for v in raw):
             raise ConfigError(f"{path}.values", "must all be finite")
+        values = np.asarray(raw, dtype=float)
         if not np.all(np.diff(values) > 0):
             raise ConfigError(f"{path}.values", "must be strictly increasing")
     else:
@@ -240,9 +255,8 @@ def _parse_controls(obj, path):
         return DynamicControls()
     if not isinstance(obj, dict):
         raise ConfigError(path, "expected an object")
-    known = {"n_y", "n_z", "horizon", "dt", "fit_window", "sample_stride",
-             "eig_cutoff", "dim_budget"}
-    _check_known_keys(obj, known, path)
+    known = {"n_y", "n_z", "horizon", "dt", "fit_window", "dim_budget"}
+    _check_known_keys(obj, known | _IGNORED_CONTROLS.keys(), path)
     defaults = DynamicControls()
     window = obj.get("fit_window")
     if window is not None:
@@ -255,14 +269,12 @@ def _parse_controls(obj, path):
         horizon=_get_number(obj, "horizon", path, required=False),
         dt=_get_number(obj, "dt", path, required=False),
         fit_window=window,
-        sample_stride=_get(obj, "sample_stride", path, (int,), required=False),
         dim_budget=_get(obj, "dim_budget", path, (int,), required=False,
                         default=defaults.dim_budget),
     )
-    # schema version 1 still accepts eig_cutoff; every static model now takes
-    # the same propagator, so the value has nothing left to choose
-    if _get(obj, "eig_cutoff", path, (int,), required=False) is not None:
-        _log.warning("%s.eig_cutoff is ignored: static models have one propagator", path)
+    for key, reason in _IGNORED_CONTROLS.items():
+        if _get(obj, key, path, (int,), required=False) is not None:
+            _log.warning("%s.%s is ignored: %s", path, key, reason)
     if kwargs["n_y"] < 100:
         raise ConfigError(f"{path}.n_y", "must be at least 100")
     if kwargs["n_z"] < 50:
@@ -270,8 +282,6 @@ def _parse_controls(obj, path):
     for key in ("horizon", "dt"):
         if kwargs[key] is not None and kwargs[key] <= 0:
             raise ConfigError(f"{path}.{key}", "must be positive")
-    if kwargs["sample_stride"] is not None and kwargs["sample_stride"] < 1:
-        raise ConfigError(f"{path}.sample_stride", "must be at least 1")
     return DynamicControls(**kwargs)
 
 
@@ -491,9 +501,19 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _buildable():
+    """Raise a scenario that cannot be built for the command as a ZenoError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ZenoError(str(exc)) from exc
+
+
 def _cmd_kernel(args) -> int:
     config = load_config(args.config, require_sweep=False)
-    kernel = build_analytic(config.scenario)
+    with _buildable():
+        kernel = build_analytic(config.scenario)
     if kernel.is_distributional:
         rows = [{"position": pos, "weight": wt} for pos, wt in kernel.atoms]
         columns = ["position", "weight"]
@@ -515,24 +535,18 @@ def _cmd_trace(args) -> int:
     if args.horizon <= 0 or not np.isfinite(args.horizon):
         raise ConfigError("--horizon", "must be positive and finite")
     controls = config.controls
-    if args.quantity == "D":
-        trace = scenario_trace(config.scenario, args.horizon, controls)
-        times, values = trace.times, trace.values
-        for flag in trace.warnings:
-            print(f"warning: {flag}", file=sys.stderr)
-    else:
-        model = build_dynamic(config.scenario, controls)
-        trace = survival_amplitude(
-            model,
-            args.horizon,
-            controls.dt,
-            sample_stride=controls.sample_stride,
-            dim_budget=controls.dim_budget,
-        )
-        times, values = trace.times, trace.values
+    with _buildable():
+        if args.quantity == "D":
+            trace = scenario_trace(config.scenario, args.horizon, controls)
+            for flag in trace.warnings:
+                print(f"warning: {flag}", file=sys.stderr)
+        else:
+            model = build_dynamic(config.scenario, controls)
+            trace = survival_amplitude(model, args.horizon, controls.dt,
+                                       dim_budget=controls.dim_budget)
     rows = [
         {"time": float(t), "real": v.real, "imag": v.imag, "abs": abs(v)}
-        for t, v in zip(times, values)
+        for t, v in zip(trace.times, trace.values)
     ]
     text = render_rows(rows, ["time", "real", "imag", "abs"], args.format or config.out_format)
     _write_output(text, args.out or config.out_path)

@@ -1,16 +1,16 @@
 """Time-domain route: discretized continua, propagation, decay fits.
 
 A DiscretizedModel holds the initial level (index 0), the decay modes it
-couples to (xi sector) and any further modes reached only through the
-final-state interaction W (eta sector).  Propagating the Schroedinger
-equation and fitting ln F(t) over a window clear of both the short-time
-transient and the discretization recurrence gives the dynamic decay
-constant; evolving V|psi0> under H0 + W alone gives the sampled
-dissipation function D(tau).
+couples to (the xi sector) and any further modes, reached only through the
+final-state interaction W.  Propagating the Schroedinger equation and
+fitting ln F(t) over a window clear of both the short-time transient and
+the discretization recurrence gives the dynamic decay constant; evolving
+V|psi0> under H0 + W alone, the same propagation with the decay coupling
+switched off, gives the sampled dissipation function D(tau).
 
 Every model is evolved by a truncated Taylor series of the matrix
 exponential (Al-Mohy and Higham, SIAM J. Sci. Comput. 33 (2011) 488)
-over the uniform sample grid; a driven model takes 4th-order
+over a uniform sample grid; a driven model takes 4th-order
 commutator-free Magnus steps (CF4:2), each two such exponentials.  Each
 power of the series is one sparse product written into its row of the
 Taylor basis; a driven model keeps H_s/2 and the drive amplitude on one
@@ -23,7 +23,7 @@ sample and never the full state matrix; propagate stacks the blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -104,9 +104,10 @@ class DiscretizedModel:
     """Finite Hermitian model of level + continua.
 
     h0_diag: diagonal energies, entry 0 is the initial level.
-    xi_indices / eta_indices: disjoint sectors covering indices 1..n-1.
+    xi_indices: distinct indices in 1..n-1 of the modes V couples to; the
+        other indices in 1..n-1 are reached only through W.
     v_xi: decay amplitudes <xi_k|V|psi0>, aligned with xi_indices.
-    w_static: Hermitian final-state interaction on xi+eta (row/col 0 empty).
+    w_static: Hermitian final-state interaction (row/col 0 empty).
     drive: optional oscillating part of W.
     xi_spacing: grid spacing of the xi continuum, sets the recurrence time.
 
@@ -115,7 +116,6 @@ class DiscretizedModel:
 
     h0_diag: np.ndarray
     xi_indices: np.ndarray
-    eta_indices: np.ndarray
     v_xi: np.ndarray
     w_static: sparse.csr_matrix | None = None
     drive: DriveTerm | None = None
@@ -125,25 +125,22 @@ class DiscretizedModel:
     def __post_init__(self):
         h0 = np.asarray(self.h0_diag, dtype=float)
         xi = np.asarray(self.xi_indices, dtype=np.intp)
-        eta = np.asarray(self.eta_indices, dtype=np.intp)
         v = np.asarray(self.v_xi, dtype=complex)
         n = h0.size
         if h0.ndim != 1 or n < 2:
             raise ValueError("h0_diag must be a 1-d array with at least 2 entries")
         if not np.all(np.isfinite(h0)):
             raise ValueError("h0_diag must be finite")
-        sectors = np.sort(np.concatenate([xi, eta]))
-        if not np.array_equal(sectors, np.arange(1, n)):
-            raise ValueError("xi and eta sectors must partition indices 1..n-1")
+        if xi.ndim != 1 or np.unique(xi).size != xi.size or not np.all((xi >= 1) & (xi < n)):
+            raise ValueError("xi_indices must be distinct indices inside 1..n-1")
         if v.shape != xi.shape:
             raise ValueError("v_xi must align with xi_indices")
         if not np.all(np.isfinite(v)):
             raise ValueError("v_xi must be finite")
-        for arr in (h0, xi, eta, v):
+        for arr in (h0, xi, v):
             arr.setflags(write=False)
         object.__setattr__(self, "h0_diag", h0)
         object.__setattr__(self, "xi_indices", xi)
-        object.__setattr__(self, "eta_indices", eta)
         object.__setattr__(self, "v_xi", v)
         if self.w_static is not None:
             w = sparse.csr_matrix(self.w_static, dtype=complex)
@@ -234,17 +231,16 @@ def build_decay_model(
     return DiscretizedModel(
         h0_diag=h0,
         xi_indices=np.arange(1, n_modes + 1),
-        eta_indices=np.arange(0),
         v_xi=couplings.astype(complex),
         label=label,
         xi_spacing=spacing,
     )
 
 
-def _static_matrix(model: DiscretizedModel, include_v: bool = True):
+def _static_matrix(model: DiscretizedModel):
     n = model.dimension
     parts = [sparse.diags(model.h0_diag.astype(complex), format="csr")]
-    if include_v and model.v_xi.size:
+    if model.v_xi.size:
         xi = model.xi_indices
         zeros = np.zeros_like(xi)
         rows = np.concatenate([xi, zeros])
@@ -259,9 +255,9 @@ def _static_matrix(model: DiscretizedModel, include_v: bool = True):
     return total.tocsr()
 
 
-def _energy_scale(model: DiscretizedModel, include_v: bool = True) -> float:
+def _energy_scale(model: DiscretizedModel) -> float:
     scales = [float(np.abs(model.h0_diag).max())]
-    if include_v and model.v_xi.size:
+    if model.v_xi.size:
         scales.append(float(np.abs(model.v_xi).max()))
     if model.w_static is not None and model.w_static.nnz:
         scales.append(float(np.abs(model.w_static.data).max()))
@@ -272,8 +268,12 @@ def _energy_scale(model: DiscretizedModel, include_v: bool = True) -> float:
     return max(scales)
 
 
-def _time_grid(horizon, dt, scale, sample_stride):
-    """Sample times: every sample_stride-th point of a grid of spacing dt."""
+def _time_grid(horizon, dt, scale):
+    """Sample times: every stride-th point of a grid of spacing dt.
+
+    The stride is max(1, steps // 2000) for a grid of that many dt steps,
+    so a grid keeps fewer than 4000 sample intervals.
+    """
     if horizon == 0 or not np.isfinite(horizon):
         raise ValueError("horizon must be finite and nonzero")
     if dt is None:
@@ -282,13 +282,11 @@ def _time_grid(horizon, dt, scale, sample_stride):
     if dt == 0 or np.sign(dt) != np.sign(horizon):
         raise ValueError("dt must be nonzero and share the sign of horizon")
     n_dt = max(1, int(round(horizon / dt)))
-    if sample_stride is None:
-        sample_stride = max(1, n_dt // 2000)
-    sample_stride = int(sample_stride)
+    stride = max(1, n_dt // 2000)
     # round the grid up to a stride multiple so the samples stay uniform all
     # the way to the horizon
-    n_dt = sample_stride * ((n_dt + sample_stride - 1) // sample_stride)
-    times = np.arange(0, n_dt + 1, sample_stride) * (horizon / n_dt)
+    n_dt = stride * ((n_dt + stride - 1) // stride)
+    times = np.arange(0, n_dt + 1, stride) * (horizon / n_dt)
     # k * (horizon / n_dt) can miss the horizon by an ulp
     times[-1] = horizon
     return times
@@ -447,8 +445,12 @@ def _evolve(static, drive, psi0, times, t_offset=0.0):
         yield block
 
 
-def _sampled_blocks(model, horizon, dt, sample_stride, dim_budget, initial_state=None):
-    """(times, blocks of the sampled states) of propagate and survival_amplitude."""
+def _sampled_blocks(model, horizon, dt, dim_budget, initial_state=None, t_offset=0.0):
+    """(times, lazy blocks of the sampled states) of every propagation.
+
+    The blocks are a generator, so a caller can check the times before any
+    state is propagated.  t_offset shifts the drive's clock.
+    """
     n = model.dimension
     if n > dim_budget:
         raise DimensionOverBudgetError(f"dimension {n} exceeds budget {dim_budget}")
@@ -459,8 +461,8 @@ def _sampled_blocks(model, horizon, dt, sample_stride, dim_budget, initial_state
         psi0 = np.asarray(initial_state, dtype=complex)
         if psi0.shape != (n,) or not np.all(np.isfinite(psi0)):
             raise ValueError("initial_state must be a finite length-n vector")
-    times = _time_grid(horizon, dt, _energy_scale(model), sample_stride)
-    blocks = _evolve(_static_matrix(model), model.drive, psi0, times)
+    times = _time_grid(horizon, dt, _energy_scale(model))
+    blocks = _evolve(_static_matrix(model), model.drive, psi0, times, t_offset)
     return times, blocks
 
 
@@ -470,7 +472,6 @@ def propagate(
     dt: float | None = None,
     *,
     initial_state: np.ndarray | None = None,
-    sample_stride: int | None = None,
     dim_budget: int = _DEFAULT_DIM_BUDGET,
 ) -> Trajectory:
     """Integrate the Schroedinger equation from t = 0 to t = horizon.
@@ -483,15 +484,14 @@ def propagate(
     H_s/2 + c X with c read from the drive at the step's Gauss points, and
     as many steps per sample as keep the drive phase of a step at or below
     0.5.  Every Taylor power is one sparse product.  dt defaults to
-    0.02 over the largest energy scale and, through the sample stride,
-    sets only the sample grid.  A negative horizon (with negative dt)
+    0.02 over the largest energy scale and sets only the sample grid: every
+    stride-th point of a grid of spacing dt, the stride max(1, steps // 2000)
+    for a grid of that many steps.  A negative horizon (with negative dt)
     integrates backwards.  Norm drift beyond 1e-6 raises
     StepTooLargeError.  Every sampled state is kept; survival_amplitude
     keeps only the initial level's amplitude.
     """
-    times, blocks = _sampled_blocks(
-        model, horizon, dt, sample_stride, dim_budget, initial_state
-    )
+    times, blocks = _sampled_blocks(model, horizon, dt, dim_budget, initial_state)
     states = np.empty((times.size, model.dimension), dtype=complex)
     row = 0
     for block in blocks:
@@ -505,7 +505,6 @@ def survival_amplitude(
     horizon: float,
     dt: float | None = None,
     *,
-    sample_stride: int | None = None,
     dim_budget: int = _DEFAULT_DIM_BUDGET,
 ) -> AmplitudeTrace:
     """No-decay amplitude of the initial level, F(t) = <0|psi(t)> exp(i E0 t).
@@ -516,7 +515,7 @@ def survival_amplitude(
     component of each block of states.  Memory therefore grows with the
     number of samples or with the dimension, never with their product.
     """
-    times, blocks = _sampled_blocks(model, horizon, dt, sample_stride, dim_budget)
+    times, blocks = _sampled_blocks(model, horizon, dt, dim_budget)
     # a copy, so that no block outlives its turn
     column = np.concatenate([block[:, 0].copy() for block in blocks])
     values = column * np.exp(1j * model.h0_diag[0] * times)
@@ -585,31 +584,32 @@ def dissipation_trace(
     horizon: float,
     dt: float | None = None,
     *,
-    sample_stride: int | None = None,
     dim_budget: int = _DEFAULT_DIM_BUDGET,
 ) -> DissipationTrace:
     """Sample D(tau): interacting versus free evolution of V|psi0>.
 
-    The numerator evolves the normalized V|psi0> under H0 + W with the
-    decay coupling switched off; the denominator is the closed-form free
-    evolution.  For driven models the run is repeated with the start time
-    shifted by a quarter drive period, and the spread between the two
-    traces (micromotion) is attached as a warning when it is visible.
+    The numerator propagates the normalized V|psi0> as propagate does,
+    under the model with its decay coupling switched off (H0 + W), and
+    projects each sample back onto it; the denominator is the closed-form
+    free evolution, checked for zeros before anything is propagated.  For
+    driven models the run is repeated with the drive's clock shifted by a
+    quarter period, and the spread between the two traces (micromotion) is
+    attached as a warning when it is visible.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    n = model.dimension
-    if n > dim_budget:
-        raise DimensionOverBudgetError(f"dimension {n} exceeds budget {dim_budget}")
-    v_norm = np.linalg.norm(model.v_xi)
-    if v_norm == 0:
+    if np.linalg.norm(model.v_xi) == 0:
         raise ValueError("model has no decay coupling; D is undefined")
-    phi = np.zeros(n, dtype=complex)
+    phi = np.zeros(model.dimension, dtype=complex)
     phi[model.xi_indices] = model.v_xi
     phi /= np.linalg.norm(phi)
+    uncoupled = replace(model, v_xi=np.zeros_like(model.v_xi))
+    bra = np.conj(phi)
 
-    times = _time_grid(horizon, dt, _energy_scale(model, include_v=False), sample_stride)
+    def overlap(blocks):
+        return np.concatenate([block @ bra for block in blocks])
 
+    times, blocks = _sampled_blocks(uncoupled, horizon, dt, dim_budget, phi)
     weights = np.abs(phi[model.xi_indices]) ** 2
     energies = model.h0_diag[model.xi_indices]
     denominator = np.exp(-1j * np.outer(times, energies)) @ weights
@@ -617,23 +617,12 @@ def dissipation_trace(
         raise VanishingDenominatorError(
             "free-evolution overlap passes through zero on the sample grid"
         )
-
-    static = _static_matrix(model, include_v=False)
-    driven = model.drive is not None and model.drive.frequency > 0
-
-    bra = np.conj(phi)
-
-    def overlap(t_offset=0.0):
-        blocks = _evolve(static, model.drive, phi, times, t_offset)
-        return np.concatenate([block @ bra for block in blocks])
-
-    numerator = overlap()
-    values = numerator / denominator
+    values = overlap(blocks) / denominator
     flags = []
-    if driven:
+    if model.drive is not None and model.drive.frequency > 0:
         period = 2.0 * np.pi / model.drive.frequency
-        quarter = overlap(0.25 * period) / denominator
-        micromotion = float(np.abs(quarter - values).max())
+        _, shifted = _sampled_blocks(uncoupled, horizon, dt, dim_budget, phi, 0.25 * period)
+        micromotion = float(np.abs(overlap(shifted) / denominator - values).max())
         if micromotion > 0.01:
             flags.append(f"{MICROMOTION_WARNING}={micromotion:.3g}")
     return DissipationTrace(

@@ -18,6 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from .dynamics import (
+    _DEFAULT_DIM_BUDGET,
     DiscretizedModel,
     DriveTerm,
     FitDiagnostics,
@@ -180,19 +181,17 @@ class DynamicControls:
     horizon: float | None = None
     dt: float | None = None
     fit_window: tuple[float, float] | None = None
-    sample_stride: int | None = None
-    dim_budget: int = 50_000
+    dim_budget: int = _DEFAULT_DIM_BUDGET
 
 
-def _synthesize_exponential(rate: float, label: str = "", steps: int = 8000) -> DissipationTrace:
-    """Sampled exp(-rate * tau) on the grid the transform was tuned for.
+def _synthesize_exponential(rate: float, dt: float, steps: int, label: str) -> DissipationTrace:
+    """Sampled exp(-rate * tau) at steps + 1 points of spacing dt from tau = 0.
 
     Raises NonUniformGridError before allocating a grid whose last time has
     an ulp above DissipationTrace's 1e-9 uniformity tolerance of the
     spacing: past about 4.5e6 samples dt * arange cannot be relied on to
     stay uniform.
     """
-    dt = 0.005 / rate
     if np.spacing(dt * steps) > 1e-9 * dt:
         raise NonUniformGridError(
             f"{steps + 1} samples at spacing {dt:.3g} cannot stay uniform to 1e-9 "
@@ -219,7 +218,9 @@ def build_analytic(scenario) -> DissipationKernel:
         if scenario.width == 0.0:
             return DiracKernel()
         if scenario.rate is not None:
-            trace = _synthesize_exponential(scenario.rate, label=scenario.label)
+            # the grid the transform was tuned for
+            trace = _synthesize_exponential(scenario.rate, 0.005 / scenario.rate, 8000,
+                                            scenario.label)
             return kernel_from_dissipation(trace)
         return LorentzianKernel(width=scenario.width)
     raise TypeError(f"unknown scenario type {type(scenario).__name__}")
@@ -317,11 +318,9 @@ def _cascade_model(
     )
     if w_static.nnz == 0:
         w_static = None
-    eta = np.setdiff1d(np.arange(1, n), xi)
     return DiscretizedModel(
         h0_diag=h0,
         xi_indices=xi,
-        eta_indices=eta,
         v_xi=v.astype(complex),
         w_static=w_static,
         label=scenario.label,
@@ -352,7 +351,6 @@ def _rabi_model(scenario, n_y: int, dim_budget: int, single_mode: bool) -> Discr
     return DiscretizedModel(
         h0_diag=h0,
         xi_indices=xi,
-        eta_indices=eta,
         v_xi=v.astype(complex),
         drive=DriveTerm(amplitude=amp, frequency=omega_d),
         label=scenario.label,
@@ -413,21 +411,13 @@ def scenario_trace(
         and getattr(scenario, "lambda_i", 0.0) == 0.0
     )
     if no_loss:
-        dt = horizon / 2000.0
-        times = dt * np.arange(2001)
-        return DissipationTrace(times=times, values=np.ones(2001, dtype=complex),
-                                label=scenario.label)
+        return _synthesize_exponential(0.0, horizon / 2000.0, 2000, scenario.label)
     if isinstance(scenario, ScatteringScenario) and scenario.m_z is None:
-        steps = max(64, int(np.ceil(horizon / (0.005 / scenario.rate))))
-        return _synthesize_exponential(scenario.rate, scenario.label, steps)
+        dt = 0.005 / scenario.rate
+        steps = max(64, int(np.ceil(horizon / dt)))
+        return _synthesize_exponential(scenario.rate, dt, steps, scenario.label)
     model = build_trace_model(scenario, horizon, controls)
-    return dissipation_trace(
-        model,
-        horizon,
-        controls.dt,
-        sample_stride=controls.sample_stride,
-        dim_budget=controls.dim_budget,
-    )
+    return dissipation_trace(model, horizon, controls.dt, dim_budget=controls.dim_budget)
 
 
 def _default_window(scenario, model, expected: float) -> tuple[float, float]:
@@ -466,13 +456,7 @@ def dynamic_gamma(
     expected = analytic_gamma(scenario).gamma
     window = controls.fit_window or _default_window(scenario, model, expected)
     horizon = controls.horizon or window[1]
-    trace = survival_amplitude(
-        model,
-        horizon,
-        controls.dt,
-        sample_stride=controls.sample_stride,
-        dim_budget=controls.dim_budget,
-    )
+    trace = survival_amplitude(model, horizon, controls.dt, dim_budget=controls.dim_budget)
     gamma0 = 2.0 * math.pi * scenario.m_y(scenario.omega_f)
     result, diagnostics = fit_decay(
         trace, window, recurrence_time=model.recurrence_time, gamma0=gamma0

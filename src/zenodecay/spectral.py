@@ -345,13 +345,16 @@ class DissipationTrace:
 
 
 def _filon_factors(theta: np.ndarray):
-    """Endpoint weights for the exact transform of a linear interpolant.
+    """Start-point weight B and attenuation factor W of a linear interpolant.
 
     On each cell [0, h] the interpolant contributes
     h * exp(-i eps tau_j) * (g_j * A(theta) + g_{j+1} * B(theta)) with
     theta = eps * h, A = int_0^1 (1-u) exp(-i theta u) du and
-    B = int_0^1 u exp(-i theta u) du.  Their sum A + B exp(i theta) is the
-    real attenuation factor 2(1 - cos theta)/theta**2.
+    B = int_0^1 u exp(-i theta u) du.  Their sum W = A + B exp(i theta) is
+    the real attenuation factor 2(1 - cos theta)/theta**2, so the whole
+    transform is W times the node sum less the end points' shares of it:
+    B exp(i theta) g_0 at tau = 0 and A g_{n-1} at T, which the taper
+    makes zero.
     """
     theta = np.asarray(theta, dtype=float)
     small = np.abs(theta) < 1e-3
@@ -359,36 +362,32 @@ def _filon_factors(theta: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):
         expm = np.exp(-1j * ts)
         b_exact = 1j * expm / ts - (1.0 - expm) / ts**2
-        a_exact = -1j * (1.0 - expm) / ts - b_exact
         w_exact = 2.0 * (1.0 - np.cos(ts)) / ts**2
     t = theta
     b_series = 0.5 - 1j * t / 3.0 - t**2 / 8.0 + 1j * t**3 / 30.0 + t**4 / 144.0
-    a_series = 0.5 - 1j * t / 6.0 - t**2 / 24.0 + 1j * t**3 / 120.0 + t**4 / 720.0
     w_series = 1.0 - t**2 / 12.0 + t**4 / 360.0
-    a = np.where(small, a_series, a_exact)
     b = np.where(small, b_series, b_exact)
     w = np.where(small, w_series, w_exact)
-    return a, b, w
+    return b, w
 
 
-def kernel_from_dissipation(trace: DissipationTrace, eps_max: float | None = None) -> NumericKernel:
+def kernel_from_dissipation(trace: DissipationTrace) -> NumericKernel:
     """Transform a sampled dissipation function into a numeric kernel.
 
     Computes (1/pi) Re int_0^T D(tau) exp(-i eps tau) dtau exactly for the
     piecewise-linear interpolant of the tapered samples, on a uniform eps
-    grid of spacing pi/T covering [-eps_max, eps_max].  The last 10% of the
-    trace is rolled off with a half-cosine taper so the integrand vanishes
-    smoothly at T.  Node sums are evaluated by FFT; the attenuation factors
-    keep the result accurate arbitrarily far beyond the naive Nyquist limit,
-    which the default range (eps_max = 8 pi / spacing) exceeds on purpose.
+    grid of spacing pi/T covering [-8 pi / spacing, 8 pi / spacing], that
+    is 8(n - 1) nodes either side of zero for n samples.  The last 10% of
+    the trace is rolled off with a half-cosine taper, so the integrand
+    vanishes at T and the end point there contributes nothing.  Node sums
+    are evaluated by FFT; the attenuation factors keep the result accurate
+    arbitrarily far beyond the naive Nyquist limit, which this range
+    exceeds on purpose.
 
     Parameters
     ----------
     trace : DissipationTrace
         Uniformly sampled D(tau) with at least 64 points.
-    eps_max : float, optional
-        Half-width of the output grid.  Defaults to 8 pi over the sample
-        spacing.
 
     Returns
     -------
@@ -400,14 +399,6 @@ def kernel_from_dissipation(trace: DissipationTrace, eps_max: float | None = Non
         raise DegenerateTraceError(f"need at least 64 samples, got {n}")
     h = trace.spacing
     t_eff = h * (n - 1)
-    if eps_max is None:
-        eps_max = 8.0 * np.pi / h
-    if eps_max <= 0:
-        raise ValueError("eps_max must be positive")
-    if eps_max * t_eff < 16.0 * np.pi:
-        raise DegenerateTraceError(
-            "trace too short: fewer than 8 oscillations fit at the requested eps_max"
-        )
 
     g = trace.values.copy()
     tail = trace.times > 0.9 * t_eff
@@ -416,7 +407,8 @@ def kernel_from_dissipation(trace: DissipationTrace, eps_max: float | None = Non
         g[tail] *= 0.5 * (1.0 + np.cos(np.pi * s))
 
     d_eps = np.pi / t_eff
-    k_max = int(np.ceil(eps_max / d_eps))
+    # about 8 (n - 1); rounding can add one node
+    k_max = int(np.ceil(8.0 * np.pi / h / d_eps))
     k = np.arange(-k_max, k_max + 1)
 
     # f_neg[(-k) % m_fft] equals f_pos[k % m_fft] up to rounding, but taking it
@@ -427,8 +419,7 @@ def kernel_from_dissipation(trace: DissipationTrace, eps_max: float | None = Non
     node_sum = np.where(k >= 0, f_pos[k % m_fft], f_neg[(-k) % m_fft])
 
     theta = np.pi * k / (n - 1)
-    a, b, w = _filon_factors(theta)
-    sign = np.where(k % 2 == 0, 1.0, -1.0)
-    transform = h * (w * node_sum - a * g[-1] * sign - b * np.exp(1j * theta) * g[0])
+    b, w = _filon_factors(theta)
+    transform = h * (w * node_sum - b * np.exp(1j * theta) * g[0])
 
     return NumericKernel(eps=k * d_eps, values=transform.real / np.pi, window=t_eff)

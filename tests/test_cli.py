@@ -1,12 +1,16 @@
+import contextlib
 import csv
 import io
 import json
 import logging
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from zenodecay.cli import (
     main,
@@ -16,6 +20,7 @@ from zenodecay.cli import (
     sweep_columns,
 )
 from zenodecay.errors import ConfigError
+from zenodecay.scenarios import DynamicControls
 
 CUBIC_Y = {"kind": "power_law", "amplitude": 1.0, "exponent": 3.0,
            "support": [0.0, 2.0]}
@@ -37,6 +42,11 @@ def rabi_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+# a level with a line shift but no width: no kernel and no trace model
+SHIFT_ONLY = {"kind": "unstable", "m_y": dict(FLAT_Y), "omega_f": 0.0,
+              "lambda_r": 0.0, "lambda_i": 0.2}
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -117,7 +127,8 @@ class TestParseConfig:
             parse_config(cfg)
 
     def test_sweep_values_validation(self):
-        for bad in ([], [0.2, 0.1], [0.1, 0.1], [0.1, "x"], [0.1, True]):
+        # 10**400 is a JSON integer beyond the double range
+        for bad in ([], [0.2, 0.1], [0.1, 0.1], [0.1, "x"], [0.1, True], [0.1, 10**400]):
             cfg = rabi_config()
             cfg["sweep"]["values"] = bad
             with pytest.raises(ConfigError):
@@ -190,6 +201,92 @@ class TestParseConfig:
         ))
         assert config.out_path == "out.json"
         assert config.out_format == "json"
+
+
+DYNAMIC_KEYS = ("n_y", "n_z", "horizon", "dt", "fit_window", "dim_budget")
+IGNORED_KEYS = ("eig_cutoff", "sample_stride")
+BIGGEST = int(sys.float_info.max)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False) | st.integers(1, BIGGEST)
+number = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-BIGGEST, BIGGEST)
+window = st.tuples(number, number).filter(lambda p: float(p[0]) < float(p[1]))
+# JSON integers can lie beyond the double range: rejected, never a crash
+non_finite = st.sampled_from([math.inf, -math.inf, math.nan]) | st.integers(BIGGEST + 1)
+valid_dynamic = st.fixed_dictionaries({}, optional={
+    "n_y": st.integers(100, 10**6),
+    "n_z": st.integers(50, 10**6),
+    "horizon": positive,
+    "dt": positive,
+    "fit_window": window.map(list),
+    "dim_budget": st.integers(1, 10**9),
+})
+not_int = st.one_of(st.booleans(), st.floats(), st.text(max_size=4), st.none(),
+                    st.lists(st.integers(), max_size=2))
+invalid_field = st.one_of(
+    st.tuples(st.text(min_size=1, max_size=12).filter(
+        lambda k: k not in DYNAMIC_KEYS + IGNORED_KEYS), st.integers()),
+    st.tuples(st.sampled_from(DYNAMIC_KEYS + IGNORED_KEYS), st.booleans()),
+    st.tuples(st.sampled_from(("horizon", "dt")),
+              st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
+              | st.integers(max_value=0)),
+    st.tuples(st.just("n_y"), st.integers(max_value=99)),
+    st.tuples(st.just("n_z"), st.integers(max_value=49)),
+    st.tuples(st.sampled_from(("horizon", "dt")), non_finite),
+    st.tuples(st.just("fit_window"), window.map(lambda p: [p[1], p[0]])),
+    st.tuples(st.just("fit_window"), st.tuples(number, non_finite).map(list)),
+    st.tuples(st.sampled_from(IGNORED_KEYS), not_int),
+)
+
+
+@contextlib.contextmanager
+def cli_warnings():
+    """The warnings zenodecay.cli logs in the block, kept out of the test report."""
+    records = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = records.append
+    logger = logging.getLogger("zenodecay.cli")
+    saved = logger.level, logger.propagate
+    logger.addHandler(handler)
+    logger.setLevel(logging.WARNING)
+    logger.propagate = False
+    try:
+        yield records
+    finally:
+        logger.removeHandler(handler)
+        logger.level, logger.propagate = saved
+
+
+class TestDynamicBlockProperties:
+    @given(block=valid_dynamic)
+    def test_valid_block_round_trips(self, block):
+        with cli_warnings() as records:
+            controls = parse_config(rabi_config(dynamic=block)).controls
+        expected = {key: block.get(key, getattr(DynamicControls(), key))
+                    for key in DYNAMIC_KEYS}
+        for key in ("horizon", "dt"):
+            if key in block:
+                expected[key] = float(block[key])
+        if "fit_window" in block:
+            expected["fit_window"] = tuple(float(v) for v in block["fit_window"])
+        assert controls == DynamicControls(**expected)
+        assert records == []
+
+    @given(block=valid_dynamic, bad=invalid_field)
+    def test_invalid_field_is_named(self, block, bad):
+        key, value = bad
+        with pytest.raises(ConfigError) as info:
+            parse_config(rabi_config(dynamic={**block, key: value}))
+        assert info.value.path == f"$.dynamic.{key}"
+
+    @given(block=valid_dynamic, ignored=st.dictionaries(st.sampled_from(IGNORED_KEYS),
+                                                         st.integers(), min_size=1))
+    def test_ignored_keys_load_with_one_warning_each(self, block, ignored):
+        with cli_warnings() as records:
+            controls = parse_config(rabi_config(dynamic={**block, **ignored})).controls
+        assert controls == parse_config(rabi_config(dynamic=block)).controls
+        messages = sorted(record.getMessage() for record in records)
+        assert len(messages) == len(ignored)
+        for message, key in zip(messages, sorted(ignored)):
+            assert message.startswith(f"$.dynamic.{key} is ignored")
 
 
 class TestColumnsAndRendering:
@@ -395,6 +492,31 @@ class TestMain:
         times = np.array([float(r[0]) for r in data])
         mags = np.array([float(r[3]) for r in data])
         np.testing.assert_allclose(mags, np.exp(-0.25 * times), atol=1e-12)
+
+    def test_trace_amplitude_of_synthesized_scattering_is_an_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, rabi_config(
+            scenario={"kind": "scattering", "m_y": dict(FLAT_Y), "omega_f": 0.0,
+                      "rate": 0.25},
+            sweep=None,
+        ))
+        assert main(["trace", cfg, "--quantity", "F", "--horizon", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: the bare-rate scattering form")
+        assert captured.out == ""
+
+    def test_trace_of_shift_without_width_is_an_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, rabi_config(scenario=SHIFT_ONLY, sweep=None))
+        assert main(["trace", cfg, "--quantity", "D", "--horizon", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: nothing to build")
+        assert captured.out == ""
+
+    def test_kernel_of_shift_without_width_is_an_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, rabi_config(scenario=SHIFT_ONLY, sweep=None))
+        assert main(["kernel", cfg, "--range=-1:1:5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: zero width with a nonzero shift")
+        assert captured.out == ""
 
     def test_trace_rejects_bad_horizon(self, tmp_path, capsys):
         cfg = write_config(tmp_path, rabi_config())

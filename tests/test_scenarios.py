@@ -156,11 +156,11 @@ class TestBuildDynamic:
         model = build_dynamic(scen, DynamicControls(n_y=500))
         assert model.dimension == 1001
         assert model.drive.frequency == 4.0
-        # the drive couples xi to eta only, never the initial level
-        coupled = set(model.drive.amplitude.nonzero()[0])
-        allowed = set(model.xi_indices) | set(model.eta_indices)
-        assert coupled <= allowed
-        assert 0 not in coupled
+        # the drive couples each xi mode to a partner outside xi, never
+        # the initial level
+        rows, cols = model.drive.amplitude.nonzero()
+        assert np.all(np.isin(rows, model.xi_indices) != np.isin(cols, model.xi_indices))
+        assert 0 not in rows
         np.testing.assert_allclose(np.abs(model.drive.amplitude.data), 0.2)
 
     def test_cascade_dimensions(self):
@@ -169,8 +169,8 @@ class TestBuildDynamic:
                                      z_resonance=0.0)
         model = build_dynamic(scen, DynamicControls(n_y=100, n_z=50))
         assert model.dimension == 1 + 100 * 51
-        assert model.xi_indices.size == 100
-        assert model.eta_indices.size == 100 * 50
+        # one Y mode every 51 states, each followed by its Z chain
+        np.testing.assert_array_equal(model.xi_indices, 1 + 51 * np.arange(100))
 
     def test_zero_width_degrades_to_pure_decay(self):
         scen = UnstableLevelScenario(m_y=FLAT_Y, omega_f=0.0, lambda_r=0.0)
