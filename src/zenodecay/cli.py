@@ -6,6 +6,11 @@ CSV or JSON, never aborting the sweep on a row failure; ``zeno validate``
 checks the config only; ``zeno kernel`` and ``zeno trace`` dump the
 broadening kernel and the time-domain amplitudes for external plotting.
 
+The library's dataclasses are the config schema.  Each scenario, density
+and ``dynamic`` block is read through the class it builds (``kind`` picks
+the class): its keys are the class's field names, each value is read by its
+field's annotation, and a field without a default is required.
+
 Units follow the library convention: hbar = 1, energies in one user-chosen
 unit, times in its inverse.  ``--jobs N`` evaluates up to N rows at once,
 each in its own worker process; all outputs are deterministic for a given
@@ -27,7 +32,7 @@ from concurrent.futures import ProcessPoolExecutor
 # unused here since rows run in processes; perfbench/tracing.py and its
 # test still patch cli.ThreadPoolExecutor, so the name stays importable
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -64,6 +69,10 @@ _SWEEP_PATHS = {
     "scattering.rate": (ScatteringScenario, "rate"),
 }
 
+# the most points a sweep or a kernel grid may have, checked before any
+# grid is allocated
+_MAX_POINTS = 10**6
+
 # schema-1 keys of the dynamic block that still load, as ints, but choose
 # nothing any more: key -> why it is ignored
 _IGNORED_CONTROLS = {
@@ -72,9 +81,12 @@ _IGNORED_CONTROLS = {
 }
 
 
-def _type_name(types) -> str:
-    names = [t.__name__ for t in types]
-    return " or ".join(names)
+def _typed(value, path, types):
+    """value, if it is of one of types; a bool is not taken for an int."""
+    if not isinstance(value, types) or isinstance(value, bool) and bool not in types:
+        names = " or ".join(t.__name__ for t in types)
+        raise ConfigError(path, f"expected {names}, got {type(value).__name__}")
+    return value
 
 
 def _get(mapping, key, path, types, required=True, default=None):
@@ -84,14 +96,7 @@ def _get(mapping, key, path, types, required=True, default=None):
         if required:
             raise ConfigError(f"{path}.{key}", "missing required field")
         return default
-    value = mapping[key]
-    if isinstance(value, bool) and bool not in types:
-        raise ConfigError(f"{path}.{key}", f"expected {_type_name(types)}, got bool")
-    if not isinstance(value, types):
-        raise ConfigError(
-            f"{path}.{key}", f"expected {_type_name(types)}, got {type(value).__name__}"
-        )
-    return value
+    return _typed(mapping[key], f"{path}.{key}", types)
 
 
 def _finite(value) -> bool:
@@ -100,13 +105,14 @@ def _finite(value) -> bool:
     return abs(value) <= sys.float_info.max
 
 
-def _get_number(mapping, key, path, required=True, default=None):
-    value = _get(mapping, key, path, (int, float), required=required, default=default)
-    if value is None:
-        return None
-    if not _finite(value):
-        raise ConfigError(f"{path}.{key}", "must be finite")
+def _number(value, path):
+    if not _finite(_typed(value, path, (int, float))):
+        raise ConfigError(path, "must be finite")
     return float(value)
+
+
+def _get_number(mapping, key, path):
+    return _number(_get(mapping, key, path, (int, float)), f"{path}.{key}")
 
 
 def _check_known_keys(mapping, known, path):
@@ -126,78 +132,56 @@ def _parse_pair(value, path):
     return float(value[0]), float(value[1])
 
 
-def _parse_density(obj, path):
+def _parse_kind(obj, path, classes, what):
+    """An instance of the class that obj's "kind" names, read from obj's keys."""
     kind = _get(obj, "kind", path, (str,))
+    if kind not in classes:
+        raise ConfigError(f"{path}.kind", f"unknown {what} kind {kind!r}")
+    return _read_fields(classes[kind], obj, path, ("kind",))
+
+
+_DENSITIES = {"flat": FlatDensity, "power_law": PowerLawDensity, "tabulated": TabulatedDensity}
+_SCENARIOS = {
+    "rabi": RabiDriveScenario,
+    "unstable": UnstableLevelScenario,
+    "scattering": ScatteringScenario,
+}
+
+# field annotation, less any "| None" -> reader(value, path) of its JSON value
+_READERS = {
+    "float": _number,
+    "int": lambda value, path: _typed(value, path, (int,)),
+    "str": lambda value, path: _typed(value, path, (str,)),
+    "tuple[float, float]": _parse_pair,
+    "SpectralDensity": lambda value, path: _parse_kind(value, path, _DENSITIES, "density"),
+    # converted inside _read_fields, which reports a bad entry at the object
+    "np.ndarray": lambda value, path: np.asarray(_typed(value, path, (list,)), dtype=float),
+}
+# annotations whose JSON null counts as a key left out
+_NULL_IS_ABSENT = ("tuple[float, float]", "SpectralDensity")
+
+
+def _read_fields(cls, obj, path, extra):
+    """An instance of the dataclass cls from the JSON object obj.
+
+    The keys are cls's field names plus extra, and each value is read by its
+    field's annotation.  A field without a default is required; one with a
+    default keeps it when its key is left out.  A ValueError or TypeError
+    from building the instance is reported at path.
+    """
+    _check_known_keys(obj, {f.name for f in fields(cls)} | set(extra), path)
+    kwargs = {}
     try:
-        if kind == "flat":
-            _check_known_keys(obj, {"kind", "level", "support"}, path)
-            return FlatDensity(
-                level=_get_number(obj, "level", path),
-                support=_parse_pair(_get(obj, "support", path, (list,)), f"{path}.support"),
-            )
-        if kind == "power_law":
-            _check_known_keys(obj, {"kind", "amplitude", "exponent", "support"}, path)
-            return PowerLawDensity(
-                amplitude=_get_number(obj, "amplitude", path),
-                exponent=_get_number(obj, "exponent", path),
-                support=_parse_pair(_get(obj, "support", path, (list,)), f"{path}.support"),
-            )
-        if kind == "tabulated":
-            _check_known_keys(obj, {"kind", "omega", "values"}, path)
-            return TabulatedDensity(
-                omega=np.asarray(_get(obj, "omega", path, (list,)), dtype=float),
-                values=np.asarray(_get(obj, "values", path, (list,)), dtype=float),
-            )
+        for field in fields(cls):
+            key, annotation = f"{path}.{field.name}", field.type.removesuffix(" | None")
+            value = obj.get(field.name)
+            if field.name in obj and (value is not None or annotation not in _NULL_IS_ABSENT):
+                kwargs[field.name] = _READERS[annotation](value, key)
+            elif field.default is MISSING:
+                raise ConfigError(key, "missing required field")
+        return cls(**kwargs)
     except (ValueError, TypeError) as exc:
         raise ConfigError(path, str(exc)) from exc
-    raise ConfigError(f"{path}.kind", f"unknown density kind {kind!r}")
-
-
-def _parse_scenario(obj, path):
-    kind = _get(obj, "kind", path, (str,))
-    common = {
-        "m_y": _parse_density(_get(obj, "m_y", path, (dict,)), f"{path}.m_y"),
-        "omega_f": _get_number(obj, "omega_f", path),
-        "label": _get(obj, "label", path, (str,), required=False, default=""),
-    }
-    try:
-        if kind == "rabi":
-            _check_known_keys(
-                obj, {"kind", "m_y", "omega_f", "label", "omega", "omega_21"}, path
-            )
-            return RabiDriveScenario(
-                omega=_get_number(obj, "omega", path),
-                omega_21=_get_number(obj, "omega_21", path),
-                **common,
-            )
-        if kind == "unstable":
-            _check_known_keys(
-                obj,
-                {"kind", "m_y", "omega_f", "label", "lambda_r", "lambda_i", "m_z", "z_resonance"},
-                path,
-            )
-            m_z = obj.get("m_z")
-            return UnstableLevelScenario(
-                lambda_r=_get_number(obj, "lambda_r", path, required=False),
-                lambda_i=_get_number(obj, "lambda_i", path, required=False, default=0.0),
-                m_z=None if m_z is None else _parse_density(m_z, f"{path}.m_z"),
-                z_resonance=_get_number(obj, "z_resonance", path, required=False),
-                **common,
-            )
-        if kind == "scattering":
-            _check_known_keys(
-                obj, {"kind", "m_y", "omega_f", "label", "rate", "m_z", "z_resonance"}, path
-            )
-            m_z = obj.get("m_z")
-            return ScatteringScenario(
-                rate=_get_number(obj, "rate", path, required=False),
-                m_z=None if m_z is None else _parse_density(m_z, f"{path}.m_z"),
-                z_resonance=_get_number(obj, "z_resonance", path, required=False),
-                **common,
-            )
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
-    raise ConfigError(f"{path}.kind", f"unknown scenario kind {kind!r}")
 
 
 def _parse_sweep(obj, scenario, path):
@@ -227,7 +211,8 @@ def _parse_sweep(obj, scenario, path):
         if not all(_finite(v) for v in raw):
             raise ConfigError(f"{path}.values", "must all be finite")
         values = np.asarray(raw, dtype=float)
-        if not np.all(np.diff(values) > 0):
+        # compared, not subtracted: a difference can overflow
+        if not np.all(values[1:] > values[:-1]):
             raise ConfigError(f"{path}.values", "must be strictly increasing")
     else:
         _check_known_keys(obj, {"path", "start", "stop", "count", "spacing"}, path)
@@ -235,19 +220,28 @@ def _parse_sweep(obj, scenario, path):
         stop = _get_number(obj, "stop", path)
         count = _get(obj, "count", path, (int,))
         spacing = _get(obj, "spacing", path, (str,), required=False, default="linear")
-        if count < 1:
-            raise ConfigError(f"{path}.count", "must be at least 1")
+        if not 1 <= count <= _MAX_POINTS:
+            raise ConfigError(f"{path}.count", f"must be at least 1 and at most {_MAX_POINTS}")
         if not start < stop:
             raise ConfigError(f"{path}.start", "start must be below stop")
         if spacing == "linear":
-            values = np.linspace(start, stop, count)
+            values = _grid(np.linspace, start, stop, count, f"{path}.stop")
         elif spacing == "log":
             if start <= 0:
                 raise ConfigError(f"{path}.start", "log spacing needs start > 0")
-            values = np.geomspace(start, stop, count)
+            values = _grid(np.geomspace, start, stop, count, f"{path}.stop")
         else:
             raise ConfigError(f"{path}.spacing", "must be 'linear' or 'log'")
     return sweep_path, attr, values
+
+
+def _grid(spread, start, stop, count, path):
+    """spread(start, stop, count), whose points must all come out finite."""
+    with np.errstate(all="ignore"):
+        points = spread(start, stop, count)
+    if not np.all(np.isfinite(points)):
+        raise ConfigError(path, "grid points leave the double range")
+    return points
 
 
 def _parse_controls(obj, path):
@@ -255,34 +249,21 @@ def _parse_controls(obj, path):
         return DynamicControls()
     if not isinstance(obj, dict):
         raise ConfigError(path, "expected an object")
-    known = {"n_y", "n_z", "horizon", "dt", "fit_window", "dim_budget"}
-    _check_known_keys(obj, known | _IGNORED_CONTROLS.keys(), path)
-    defaults = DynamicControls()
-    window = obj.get("fit_window")
-    if window is not None:
-        window = _parse_pair(window, f"{path}.fit_window")
-        if not window[0] < window[1]:
-            raise ConfigError(f"{path}.fit_window", "must satisfy low < high")
-    kwargs = dict(
-        n_y=_get(obj, "n_y", path, (int,), required=False, default=defaults.n_y),
-        n_z=_get(obj, "n_z", path, (int,), required=False, default=defaults.n_z),
-        horizon=_get_number(obj, "horizon", path, required=False),
-        dt=_get_number(obj, "dt", path, required=False),
-        fit_window=window,
-        dim_budget=_get(obj, "dim_budget", path, (int,), required=False,
-                        default=defaults.dim_budget),
-    )
+    controls = _read_fields(DynamicControls, obj, path, _IGNORED_CONTROLS)
     for key, reason in _IGNORED_CONTROLS.items():
         if _get(obj, key, path, (int,), required=False) is not None:
             _log.warning("%s.%s is ignored: %s", path, key, reason)
-    if kwargs["n_y"] < 100:
-        raise ConfigError(f"{path}.n_y", "must be at least 100")
-    if kwargs["n_z"] < 50:
-        raise ConfigError(f"{path}.n_z", "must be at least 50")
+    for key, low in (("n_y", 100), ("n_z", 50), ("dim_budget", 1)):
+        if getattr(controls, key) < low:
+            raise ConfigError(f"{path}.{key}", f"must be at least {low}")
     for key in ("horizon", "dt"):
-        if kwargs[key] is not None and kwargs[key] <= 0:
+        value = getattr(controls, key)
+        if value is not None and value <= 0:
             raise ConfigError(f"{path}.{key}", "must be positive")
-    return DynamicControls(**kwargs)
+    window = controls.fit_window
+    if window is not None and not window[0] < window[1]:
+        raise ConfigError(f"{path}.fit_window", "must satisfy low < high")
+    return controls
 
 
 @dataclass(frozen=True)
@@ -307,7 +288,8 @@ def parse_config(raw: dict, require_sweep: bool = True) -> ParsedConfig:
     version = _get(raw, "schema_version", "$", (int,))
     if version != SCHEMA_VERSION:
         raise ConfigError("$.schema_version", f"unsupported version {version}, this build reads {SCHEMA_VERSION}")
-    scenario = _parse_scenario(_get(raw, "scenario", "$", (dict,)), "$.scenario")
+    scenario = _parse_kind(_get(raw, "scenario", "$", (dict,)), "$.scenario",
+                           _SCENARIOS, "scenario")
     routes = _get(raw, "routes", "$", (str,), required=False, default="analytic")
     if routes not in _ROUTES:
         raise ConfigError("$.routes", f"must be one of {', '.join(_ROUTES)}")
@@ -479,9 +461,9 @@ def _parse_range(spec: str):
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError("--range", str(exc)) from exc
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi and count >= 2):
-        raise ConfigError("--range", "need finite a < b and n >= 2")
-    return lo, hi, count
+    if not (lo < hi and 2 <= count <= _MAX_POINTS):
+        raise ConfigError("--range", f"need a < b and 2 <= n <= {_MAX_POINTS}")
+    return _grid(np.linspace, lo, hi, count, "--range")
 
 
 def _cmd_run(args) -> int:
@@ -520,8 +502,7 @@ def _cmd_kernel(args) -> int:
     else:
         if args.range is None:
             raise ConfigError("--range", "required for kernels with a pointwise density")
-        lo, hi, count = _parse_range(args.range)
-        eps = np.linspace(lo, hi, count)
+        eps = _parse_range(args.range)
         dens = kernel.density(eps)
         rows = [{"epsilon": float(e), "density": float(d)} for e, d in zip(eps, dens)]
         columns = ["epsilon", "density"]

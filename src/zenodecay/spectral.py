@@ -140,7 +140,8 @@ class TabulatedDensity(SpectralDensity):
         values = np.asarray(self.values, dtype=float)
         if omega.ndim != 1 or omega.shape != values.shape or omega.size < 2:
             raise ValueError("omega and values must be matching 1-d arrays with at least 2 points")
-        if not np.all(np.diff(omega) > 0):
+        # compared, not subtracted: a difference can overflow
+        if not np.all(omega[1:] > omega[:-1]):
             raise ValueError("omega grid must be strictly increasing")
         if not (np.all(np.isfinite(values)) and np.all(values >= 0)):
             raise ValueError("tabulated values must be finite and nonnegative")

@@ -18,8 +18,7 @@ from zenodecay.dynamics import (
     build_decay_model,
     dissipation_trace,
     fit_decay,
-    no_decay_amplitude,
-    propagate,
+    survival_amplitude,
 )
 from zenodecay.rates import (
     golden_rule_gamma,
@@ -74,8 +73,7 @@ def test_criterion_1_golden_rule_recovery():
     dens = FlatDensity(level=0.01 / (2.0 * np.pi), support=(-5.0, 5.0))
     model = build_decay_model(dens, 0.0, 2000)
     horizon = 0.4 * model.recurrence_time
-    traj = propagate(model, horizon)
-    trace = no_decay_amplitude(traj, 0.0)
+    trace = survival_amplitude(model, horizon)
     result, _ = fit_decay(
         trace, (1.0, 0.999 * horizon), recurrence_time=model.recurrence_time
     )

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import logging
@@ -9,9 +10,10 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from zenodecay import cli
 from zenodecay.cli import (
     main,
     parse_config,
@@ -20,7 +22,13 @@ from zenodecay.cli import (
     sweep_columns,
 )
 from zenodecay.errors import ConfigError
-from zenodecay.scenarios import DynamicControls
+from zenodecay.scenarios import (
+    DynamicControls,
+    RabiDriveScenario,
+    ScatteringScenario,
+    UnstableLevelScenario,
+)
+from zenodecay.spectral import FlatDensity, PowerLawDensity, TabulatedDensity
 
 CUBIC_Y = {"kind": "power_law", "amplitude": 1.0, "exponent": 3.0,
            "support": [0.0, 2.0]}
@@ -157,6 +165,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="spacing"):
             parse_config(cfg)
 
+    def test_grids_wider_than_the_double_range_load(self):
+        # increasing grids are checked without a difference that overflows
+        wide = [-1.7e308, 1.7e308]
+        cfg = rabi_config(sweep={"path": "omega_f", "values": wide})
+        cfg["scenario"]["m_y"] = {"kind": "tabulated", "omega": wide, "values": [1, 1]}
+        config = parse_config(cfg)
+        assert np.array_equal(config.scenario.m_y.omega, wide)
+        assert np.array_equal(config.sweep_values, wide)
+
     def test_dynamic_controls_validation(self):
         with pytest.raises(ConfigError, match="expected an object"):
             parse_config(rabi_config(dynamic=[1]))
@@ -164,6 +181,8 @@ class TestParseConfig:
             parse_config(rabi_config(dynamic={"n_y": 10}))
         with pytest.raises(ConfigError, match="at least 50"):
             parse_config(rabi_config(dynamic={"n_z": 10}))
+        with pytest.raises(ConfigError, match="dim_budget: must be at least 1"):
+            parse_config(rabi_config(dynamic={"dim_budget": 0}))
         with pytest.raises(ConfigError, match="positive"):
             parse_config(rabi_config(dynamic={"dt": -0.1}))
         with pytest.raises(ConfigError, match="unknown field"):
@@ -230,6 +249,7 @@ invalid_field = st.one_of(
               | st.integers(max_value=0)),
     st.tuples(st.just("n_y"), st.integers(max_value=99)),
     st.tuples(st.just("n_z"), st.integers(max_value=49)),
+    st.tuples(st.just("dim_budget"), st.integers(max_value=0)),
     st.tuples(st.sampled_from(("horizon", "dt")), non_finite),
     st.tuples(st.just("fit_window"), window.map(lambda p: [p[1], p[0]])),
     st.tuples(st.just("fit_window"), st.tuples(number, non_finite).map(list)),
@@ -270,6 +290,12 @@ class TestDynamicBlockProperties:
         assert controls == DynamicControls(**expected)
         assert records == []
 
+    @given(block=valid_dynamic)
+    def test_null_fit_window_is_absent(self, block):
+        block = {key: value for key, value in block.items() if key != "fit_window"}
+        null = parse_config(rabi_config(dynamic={**block, "fit_window": None})).controls
+        assert null == parse_config(rabi_config(dynamic=block)).controls
+
     @given(block=valid_dynamic, bad=invalid_field)
     def test_invalid_field_is_named(self, block, bad):
         key, value = bad
@@ -287,6 +313,271 @@ class TestDynamicBlockProperties:
         assert len(messages) == len(ignored)
         for message, key in zip(messages, sorted(ignored)):
             assert message.startswith(f"$.dynamic.{key} is ignored")
+
+
+nonneg = st.floats(min_value=0.0, allow_infinity=False) | st.integers(0, BIGGEST)
+not_number = st.one_of(st.booleans(), non_finite, st.none(), st.text(max_size=4),
+                       st.lists(st.integers(), max_size=2))
+not_str = st.one_of(number, st.booleans(), st.none(), st.lists(st.integers(), max_size=2))
+BAD_VALUES = {
+    "number": not_number,
+    "str": not_str,
+    "object": st.one_of(number, st.booleans(), st.text(max_size=4),
+                        st.lists(st.integers(), max_size=2)),
+    "pair": st.one_of(
+        number, st.text(max_size=4), st.lists(number, max_size=1),
+        st.lists(number, min_size=3, max_size=4),
+        st.tuples(number, st.booleans() | non_finite | st.text(max_size=2)).map(list),
+    ),
+    "list": st.one_of(number, st.booleans(), st.none(), st.text(max_size=4),
+                      st.dictionaries(st.text(max_size=2), st.integers(), max_size=1)),
+}
+# the keys of each kind of config object, by the kind of value they take
+KEYS = {
+    "rabi": {"kind": "kind", "m_y": "object", "omega_f": "number", "omega": "number",
+             "omega_21": "number", "label": "str"},
+    "unstable": {"kind": "kind", "m_y": "object", "omega_f": "number", "lambda_r": "number",
+                 "lambda_i": "number", "m_z": "object", "z_resonance": "number",
+                 "label": "str"},
+    "scattering": {"kind": "kind", "m_y": "object", "omega_f": "number", "rate": "number",
+                   "m_z": "object", "z_resonance": "number", "label": "str"},
+    "flat": {"kind": "kind", "level": "number", "support": "pair"},
+    "power_law": {"kind": "kind", "amplitude": "number", "exponent": "number",
+                  "support": "pair"},
+    "tabulated": {"kind": "kind", "omega": "list", "values": "list"},
+}
+BAD_VALUES["kind"] = not_str | st.text(max_size=12).filter(lambda k: k not in KEYS)
+REQUIRED = {
+    "rabi": ("kind", "m_y", "omega_f", "omega", "omega_21"),
+    "unstable": ("kind", "m_y", "omega_f"),
+    "scattering": ("kind", "m_y", "omega_f"),
+    **{kind: tuple(KEYS[kind]) for kind in ("flat", "power_law", "tabulated")},
+}
+
+
+def exact_repr(obj):
+    """repr with every array entry in full, so equal text means equal values."""
+    with np.printoptions(floatmode="unique", threshold=sys.maxsize):
+        return repr(obj)
+
+
+def scenario_only(scenario):
+    return parse_config({"schema_version": 1, "scenario": scenario},
+                        require_sweep=False).scenario
+
+
+@st.composite
+def densities(draw):
+    """A valid density object and the density it describes."""
+    kind = draw(st.sampled_from(["flat", "power_law", "tabulated"]))
+    if kind == "flat":
+        level, support = draw(nonneg), draw(window)
+        expected = FlatDensity(level=float(level), support=support)
+        return {"kind": kind, "level": level, "support": list(support)}, expected
+    if kind == "power_law":
+        amplitude, exponent = draw(nonneg), draw(number)
+        support = draw(st.tuples(nonneg, nonneg).filter(
+            lambda p: float(p[0]) < float(p[1]) and (float(exponent) >= 0 or float(p[0]) > 0)))
+        expected = PowerLawDensity(amplitude=float(amplitude), exponent=float(exponent),
+                                   support=support)
+        return ({"kind": kind, "amplitude": amplitude, "exponent": exponent,
+                 "support": list(support)}, expected)
+    omega = sorted(draw(st.lists(number, min_size=2, max_size=6, unique_by=float)), key=float)
+    values = draw(st.lists(nonneg, min_size=len(omega), max_size=len(omega)))
+    expected = TabulatedDensity(omega=np.array(omega, dtype=float),
+                                values=np.array(values, dtype=float))
+    return {"kind": kind, "omega": omega, "values": values}, expected
+
+
+@st.composite
+def scenarios(draw):
+    """A valid scenario object of any kind and form, and the scenario it describes."""
+    kind = draw(st.sampled_from(["rabi", "unstable", "scattering"]))
+    raw, kwargs = {"kind": kind}, {}
+
+    def put(key, value):
+        raw[key] = value
+        kwargs[key] = float(value)
+
+    raw["m_y"], kwargs["m_y"] = draw(densities())
+    put("omega_f", draw(number))
+    if draw(st.booleans()):
+        raw["label"] = kwargs["label"] = draw(st.text(max_size=8))
+    if kind == "rabi":
+        put("omega", draw(positive))
+        put("omega_21", draw(positive))
+    elif draw(st.booleans()):
+        raw["m_z"], kwargs["m_z"] = draw(densities())
+        put("z_resonance", draw(number))
+    else:
+        put("lambda_r" if kind == "unstable" else "rate", draw(nonneg))
+    if kind == "unstable" and draw(st.booleans()):
+        put("lambda_i", draw(number))
+    cls = {"rabi": RabiDriveScenario, "unstable": UnstableLevelScenario,
+           "scattering": ScatteringScenario}[kind]
+    return raw, cls(**kwargs)
+
+
+@st.composite
+def one_bad_field(draw, raw, path):
+    """raw with one field made bad, and the path that names the field."""
+    keys = KEYS[raw["kind"]]
+    bad = dict(raw)
+    how = draw(st.sampled_from(["unknown", "missing", "value"]))
+    if how == "unknown":
+        key = draw(st.text(min_size=1, max_size=12).filter(lambda k: k not in keys))
+        bad[key] = draw(st.integers())
+    elif how == "missing":
+        key = draw(st.sampled_from(REQUIRED[raw["kind"]]))
+        del bad[key]
+    else:
+        key = draw(st.sampled_from(sorted(keys)))
+        bad[key] = draw(BAD_VALUES[keys[key]])
+    return bad, f"{path}.{key}"
+
+
+SWEEP_KEYS = ("path", "values", "start", "stop", "count", "spacing")
+RABI_PATHS = ("rabi.omega", "rabi.omega_21", "omega_f")
+increasing = st.lists(number, min_size=1, max_size=8, unique_by=float).map(
+    lambda values: sorted(values, key=float))
+
+
+@st.composite
+def sweeps(draw):
+    """A valid sweep object for a rabi scenario, and the values it sweeps."""
+    sweep = {"path": draw(st.sampled_from(RABI_PATHS))}
+    if draw(st.booleans()):
+        sweep["values"] = draw(increasing)
+        return sweep, np.array(sweep["values"], dtype=float)
+    start, stop = draw(window)
+    count = draw(st.integers(1, cli._MAX_POINTS))
+    sweep.update(start=start, stop=stop, count=count)
+    spread = np.linspace
+    if float(start) > 0 and draw(st.booleans()):
+        sweep["spacing"] = "log"
+        spread = np.geomspace
+    elif draw(st.booleans()):
+        sweep["spacing"] = "linear"
+    with np.errstate(all="ignore"):
+        values = spread(float(start), float(stop), count)
+    # a grid that leaves the double range is invalid (test_overflowing_grid_is_rejected)
+    assume(np.all(np.isfinite(values)))
+    return sweep, values
+
+
+BAD_SWEEP_VALUES = {
+    "path": not_str | st.text(max_size=12).filter(lambda p: p not in cli._SWEEP_PATHS),
+    "values": st.one_of(BAD_VALUES["list"], st.just([]),
+                        increasing.map(lambda values: values + values[-1:]),
+                        st.tuples(number, st.booleans() | non_finite).map(list)),
+    "start": not_number,
+    "stop": not_number,
+    "count": st.one_of(not_number, st.floats(), st.integers(max_value=0),
+                       st.integers(min_value=cli._MAX_POINTS + 1)),
+    "spacing": not_str | st.text(max_size=8).filter(lambda s: s not in ("linear", "log")),
+}
+valid_output = st.fixed_dictionaries({}, optional={
+    "path": st.text(max_size=12), "format": st.sampled_from(["csv", "json"])})
+bad_output_field = st.one_of(
+    st.tuples(st.text(min_size=1, max_size=12).filter(lambda k: k not in ("path", "format")),
+              st.integers()),
+    st.tuples(st.sampled_from(["path", "format"]), not_str),
+    st.tuples(st.just("format"), st.text(max_size=8).filter(lambda f: f not in ("csv", "json"))),
+)
+
+
+def test_reader_covers_every_field_annotation():
+    """A field of a type the config reader cannot read fails here, not in a config."""
+    classes = (FlatDensity, PowerLawDensity, TabulatedDensity, RabiDriveScenario,
+               UnstableLevelScenario, ScatteringScenario, DynamicControls)
+    for cls in classes:
+        for field in dataclasses.fields(cls):
+            assert field.type.removesuffix(" | None") in cli._READERS, (cls, field.name)
+
+
+class TestScenarioBlockProperties:
+    @given(scenario=scenarios())
+    def test_valid_scenario_round_trips(self, scenario):
+        raw, expected = scenario
+        assert exact_repr(scenario_only(raw)) == exact_repr(expected)
+
+    @given(scenario=scenarios(), data=st.data())
+    def test_invalid_field_is_named(self, scenario, data):
+        raw, _ = scenario
+        target = data.draw(st.sampled_from([None] + [k for k in ("m_y", "m_z") if k in raw]))
+        if target is None:
+            bad, path = data.draw(one_bad_field(raw, "$.scenario"))
+        else:
+            density, path = data.draw(one_bad_field(raw[target], f"$.scenario.{target}"))
+            bad = {**raw, target: density}
+        with pytest.raises(ConfigError) as info:
+            scenario_only(bad)
+        assert info.value.path == path
+
+    @given(scenario=scenarios().filter(lambda s: s[0]["kind"] != "rabi" and "m_z" not in s[0]))
+    def test_null_m_z_is_absent(self, scenario):
+        raw, expected = scenario
+        assert exact_repr(scenario_only({**raw, "m_z": None})) == exact_repr(expected)
+
+    @given(scenario=scenarios())
+    def test_null_number_is_rejected(self, scenario):
+        raw, _ = scenario
+        with pytest.raises(ConfigError) as info:
+            scenario_only({**raw, "omega_f": None})
+        assert info.value.path == "$.scenario.omega_f"
+
+
+class TestSweepAndOutputBlockProperties:
+    @given(sweep=sweeps())
+    def test_valid_sweep_round_trips(self, sweep):
+        raw, expected = sweep
+        config = parse_config(rabi_config(sweep=raw))
+        assert config.sweep_path == raw["path"]
+        assert np.array_equal(config.sweep_values, expected)
+
+    @given(sweep=sweeps(), data=st.data())
+    def test_invalid_sweep_field_is_named(self, sweep, data):
+        raw, _ = sweep
+        if "values" in raw:
+            # without its values a sweep is read as a range
+            allowed, required = ("path", "values"), ("path",)
+        else:
+            allowed = ("path", "start", "stop", "count", "spacing")
+            required = allowed[:4]
+        how = data.draw(st.sampled_from(["unknown", "missing", "value"]))
+        if how == "unknown":
+            key = data.draw(st.text(min_size=1, max_size=12).filter(
+                lambda k: k not in SWEEP_KEYS))
+            raw = {**raw, key: 1}
+        elif how == "missing":
+            key = data.draw(st.sampled_from(required))
+            raw = {k: v for k, v in raw.items() if k != key}
+        else:
+            key = data.draw(st.sampled_from(allowed))
+            raw = {**raw, key: data.draw(BAD_SWEEP_VALUES[key])}
+        with pytest.raises(ConfigError) as info:
+            parse_config(rabi_config(sweep=raw))
+        assert info.value.path == f"$.sweep.{key}"
+
+    def test_overflowing_grid_is_rejected(self):
+        # stop - start is beyond the double range
+        sweep = {"path": "rabi.omega", "start": -1.7e308, "stop": 1.7e308, "count": 5}
+        with pytest.raises(ConfigError) as info:
+            parse_config(rabi_config(sweep=sweep))
+        assert info.value.path == "$.sweep.stop"
+
+    @given(output=valid_output)
+    def test_valid_output_round_trips(self, output):
+        config = parse_config(rabi_config(output=output))
+        assert config.out_path == output.get("path")
+        assert config.out_format == output.get("format", "csv")
+
+    @given(output=valid_output, bad=bad_output_field)
+    def test_invalid_output_field_is_named(self, output, bad):
+        key, value = bad
+        with pytest.raises(ConfigError) as info:
+            parse_config(rabi_config(output={**output, key: value}))
+        assert info.value.path == f"$.output.{key}"
 
 
 class TestColumnsAndRendering:
@@ -475,6 +766,20 @@ class TestMain:
         assert len(data) == 5
         # symmetric grid around the center: peak value 1/(pi lambda_r)
         assert float(data[2][1]) == pytest.approx(1.0 / np.pi, rel=1e-12)
+
+    def test_validate_rejects_oversized_sweep(self, tmp_path, capsys):
+        sweep = {"path": "rabi.omega", "start": 0.1, "stop": 1, "count": 10**20}
+        assert main(["validate", write_config(tmp_path, rabi_config(sweep=sweep))]) == 2
+        assert capsys.readouterr().err.startswith("config error: $.sweep.count")
+
+    def test_kernel_rejects_oversized_or_overflowing_range(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, rabi_config(scenario=dict(SHIFT_ONLY, lambda_r=1.0),
+                                                 sweep=None))
+        for spec in ("-1:1:100000000000000000000", "-1.7e308:1.7e308:5"):
+            assert main(["kernel", cfg, f"--range={spec}"]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("config error: --range")
+            assert captured.out == ""
 
     def test_trace_dissipation(self, tmp_path, capsys):
         cfg = write_config(tmp_path, rabi_config(

@@ -497,8 +497,7 @@ class TestFlatContinuumRate:
         gammas = []
         for n in (300, 600):
             model = build_decay_model(dens, 0.0, n)
-            traj = propagate(model, 80.0)
-            trace = no_decay_amplitude(traj, 0.0)
+            trace = survival_amplitude(model, 80.0)
             result, diag = fit_decay(
                 trace, (1.0, 75.0), recurrence_time=model.recurrence_time
             )
@@ -511,8 +510,7 @@ class TestFlatContinuumRate:
     def test_coarse_grid_blocks_long_windows(self):
         dens = FlatDensity(level=0.01 / (2.0 * np.pi), support=(-5.0, 5.0))
         model = build_decay_model(dens, 0.0, 60)
-        traj = propagate(model, 80.0)
-        trace = no_decay_amplitude(traj, 0.0)
+        trace = survival_amplitude(model, 80.0)
         with pytest.raises(WindowBeyondRecurrenceError):
             fit_decay(trace, (1.0, 75.0), recurrence_time=model.recurrence_time)
 
