@@ -50,6 +50,7 @@ from .dynamics import (
     discretize_continuum,
     dissipation_trace,
     fit_decay,
+    memory_kernel_amplitude,
     no_decay_amplitude,
     propagate,
     survival_amplitude,
@@ -64,6 +65,7 @@ from .scenarios import (
     build_dynamic,
     build_trace_model,
     dynamic_gamma,
+    scenario_amplitude,
     scenario_trace,
 )
 

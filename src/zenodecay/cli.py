@@ -36,7 +36,6 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from .dynamics import survival_amplitude
 from .errors import ConfigError, ZenoError
 from .scenarios import (
     DynamicControls,
@@ -45,8 +44,8 @@ from .scenarios import (
     UnstableLevelScenario,
     analytic_gamma,
     build_analytic,
-    build_dynamic,
     dynamic_gamma,
+    scenario_amplitude,
     scenario_trace,
 )
 from .spectral import FlatDensity, PowerLawDensity, TabulatedDensity
@@ -121,6 +120,14 @@ def _check_known_keys(mapping, known, path):
             raise ConfigError(f"{path}.{key}", "unknown field")
 
 
+def _parse_array(value, path):
+    """A list of finite numbers as a float array; the message names a bad entry."""
+    for index, entry in enumerate(_typed(value, path, (list,))):
+        if not isinstance(entry, (int, float)) or isinstance(entry, bool) or not _finite(entry):
+            raise ConfigError(path, f"entry {index} must be a finite number, got {entry!r:.40}")
+    return np.asarray(value, dtype=float)
+
+
 def _parse_pair(value, path):
     if (
         not isinstance(value, list)
@@ -154,8 +161,7 @@ _READERS = {
     "str": lambda value, path: _typed(value, path, (str,)),
     "tuple[float, float]": _parse_pair,
     "SpectralDensity": lambda value, path: _parse_kind(value, path, _DENSITIES, "density"),
-    # converted inside _read_fields, which reports a bad entry at the object
-    "np.ndarray": lambda value, path: np.asarray(_typed(value, path, (list,)), dtype=float),
+    "np.ndarray": _parse_array,
 }
 # annotations whose JSON null counts as a key left out
 _NULL_IS_ABSENT = ("tuple[float, float]", "SpectralDensity")
@@ -303,7 +309,9 @@ def parse_config(raw: dict, require_sweep: bool = True) -> ParsedConfig:
         sweep_path, attr, values = _parse_sweep(
             _get(raw, "sweep", "$", (dict,)), scenario, "$.sweep"
         )
-    output = raw.get("output") or {}
+    # only a left-out key means no output block; null, false, 0, [] and ""
+    # are values of the wrong type
+    output = raw.get("output", {})
     if not isinstance(output, dict):
         raise ConfigError("$.output", "expected an object")
     _check_known_keys(output, {"path", "format"}, "$.output")
@@ -519,12 +527,10 @@ def _cmd_trace(args) -> int:
     with _buildable():
         if args.quantity == "D":
             trace = scenario_trace(config.scenario, args.horizon, controls)
-            for flag in trace.warnings:
-                print(f"warning: {flag}", file=sys.stderr)
         else:
-            model = build_dynamic(config.scenario, controls)
-            trace = survival_amplitude(model, args.horizon, controls.dt,
-                                       dim_budget=controls.dim_budget)
+            trace, _ = scenario_amplitude(config.scenario, args.horizon, controls)
+    for flag in trace.warnings:
+        print(f"warning: {flag}", file=sys.stderr)
     rows = [
         {"time": float(t), "real": v.real, "imag": v.imag, "abs": abs(v)}
         for t, v in zip(trace.times, trace.values)

@@ -18,6 +18,12 @@ sparsity pattern, so the matrix of an exponential is one data array.  The
 propagator hands its samples over in blocks of rows, so
 survival_amplitude and dissipation_trace keep one reduced value per
 sample and never the full state matrix; propagate stacks the blocks.
+
+When every decay mode carries its own copy of one final-state sector, the
+level amplitude obeys the memory-kernel equation
+F'(t) = -int_0^t K(t - s) F(s) ds exactly (Kofman and Kurizki, Nature 405
+(2000) 546); memory_kernel_amplitude solves it on a uniform grid from K
+alone, so the full model is never propagated.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
+from scipy import fft, sparse
 # the kernel behind `A @ x`, called without the per-product dispatch that
 # costs more than the product itself on small models
 from scipy.sparse._sparsetools import csr_matvec
@@ -34,6 +40,7 @@ from scipy.sparse._sparsetools import csr_matvec
 from .errors import (
     DimensionOverBudgetError,
     IllConditionedFitError,
+    NonUniformGridError,
     StepTooLargeError,
     VanishingDenominatorError,
     WindowBeyondRecurrenceError,
@@ -54,6 +61,7 @@ __all__ = [
     "no_decay_amplitude",
     "fit_decay",
     "dissipation_trace",
+    "memory_kernel_amplitude",
 ]
 
 MICROMOTION_WARNING = "micromotion_spread"
@@ -61,6 +69,11 @@ MICROMOTION_WARNING = "micromotion_spread"
 _HERMITICITY_TOL = 1e-12
 _NORM_DRIFT_LIMIT = 1e-6
 _DENOMINATOR_FLOOR = 1e-12
+_MIN_FIT_SAMPLES = 8
+# |F| may exceed 1 by this much in rounding
+_UNITARITY_TOL = 1e-9
+# rows of the memory-kernel solver solved by one block inverse
+_SOLVE_BLOCK = 64
 _DEFAULT_DIM_BUDGET = 50_000
 # drive phase omega_d h of one CF4:2 step at most
 _DRIVE_PHASE_STEP = 0.5
@@ -181,6 +194,8 @@ class AmplitudeTrace:
 
     times: np.ndarray
     values: np.ndarray
+    # flags of the amplitude's accuracy, such as a step error
+    warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -189,7 +204,7 @@ class AmplitudeTrace:
             raise ValueError("times and values must be matching 1-d arrays")
         if times[0] != 0.0 or values[0] != 1.0:
             raise ValueError("amplitude trace must start with F(0) = 1 at t = 0")
-        if np.abs(values).max() > 1.0 + 1e-9:
+        if np.abs(values).max() > 1.0 + _UNITARITY_TOL:
             raise ValueError("|F| exceeds 1 beyond rounding tolerance")
         times.setflags(write=False)
         values.setflags(write=False)
@@ -205,6 +220,9 @@ class FitDiagnostics:
     window: tuple[float, float]
     residual_rms: float
     recurrence_time: float | None
+    # relative error of gamma from the memory-kernel solver's step, None
+    # when the amplitude was propagated (the norm-drift guard covers that)
+    step_error: float | None = None
 
 
 def discretize_continuum(density: SpectralDensity, n_modes: int):
@@ -268,11 +286,13 @@ def _energy_scale(model: DiscretizedModel) -> float:
     return max(scales)
 
 
-def _time_grid(horizon, dt, scale):
-    """Sample times: every stride-th point of a grid of spacing dt.
+def _grid_steps(horizon, dt, scale):
+    """(n_dt, stride): the steps of spacing about dt to the horizon, and the stride.
 
-    The stride is max(1, steps // 2000) for a grid of that many dt steps,
-    so a grid keeps fewer than 4000 sample intervals.
+    dt defaults to 0.02 over the energy scale.  The stride is
+    max(1, steps // 2000) for a grid of that many steps, and n_dt is
+    rounded up to a stride multiple, so every stride-th step gives fewer
+    than 4000 uniform sample intervals ending at the horizon.
     """
     if horizon == 0 or not np.isfinite(horizon):
         raise ValueError("horizon must be finite and nonzero")
@@ -283,13 +303,20 @@ def _time_grid(horizon, dt, scale):
         raise ValueError("dt must be nonzero and share the sign of horizon")
     n_dt = max(1, int(round(horizon / dt)))
     stride = max(1, n_dt // 2000)
-    # round the grid up to a stride multiple so the samples stay uniform all
-    # the way to the horizon
-    n_dt = stride * ((n_dt + stride - 1) // stride)
+    return stride * ((n_dt + stride - 1) // stride), stride
+
+
+def _uniform_grid(horizon, n_dt, stride=1):
+    """Every stride-th of the times k * horizon / n_dt, k = 0 .. n_dt."""
     times = np.arange(0, n_dt + 1, stride) * (horizon / n_dt)
     # k * (horizon / n_dt) can miss the horizon by an ulp
     times[-1] = horizon
     return times
+
+
+def _time_grid(horizon, dt, scale):
+    """Sample times: every stride-th point of a grid of spacing dt."""
+    return _uniform_grid(horizon, *_grid_steps(horizon, dt, scale))
 
 
 # theta_m: the largest ||A||_1 t for which the degree-m truncated Taylor
@@ -445,8 +472,8 @@ def _evolve(static, drive, psi0, times, t_offset=0.0):
         yield block
 
 
-def _sampled_blocks(model, horizon, dt, dim_budget, initial_state=None, t_offset=0.0):
-    """(times, lazy blocks of the sampled states) of every propagation.
+def _sampled_blocks(model, times, dim_budget, initial_state=None, t_offset=0.0):
+    """Lazy blocks of the states sampled at times, of every propagation.
 
     The blocks are a generator, so a caller can check the times before any
     state is propagated.  t_offset shifts the drive's clock.
@@ -461,9 +488,7 @@ def _sampled_blocks(model, horizon, dt, dim_budget, initial_state=None, t_offset
         psi0 = np.asarray(initial_state, dtype=complex)
         if psi0.shape != (n,) or not np.all(np.isfinite(psi0)):
             raise ValueError("initial_state must be a finite length-n vector")
-    times = _time_grid(horizon, dt, _energy_scale(model))
-    blocks = _evolve(_static_matrix(model), model.drive, psi0, times, t_offset)
-    return times, blocks
+    return _evolve(_static_matrix(model), model.drive, psi0, times, t_offset)
 
 
 def propagate(
@@ -491,7 +516,8 @@ def propagate(
     StepTooLargeError.  Every sampled state is kept; survival_amplitude
     keeps only the initial level's amplitude.
     """
-    times, blocks = _sampled_blocks(model, horizon, dt, dim_budget, initial_state)
+    times = _time_grid(horizon, dt, _energy_scale(model))
+    blocks = _sampled_blocks(model, times, dim_budget, initial_state)
     states = np.empty((times.size, model.dimension), dtype=complex)
     row = 0
     for block in blocks:
@@ -515,7 +541,8 @@ def survival_amplitude(
     component of each block of states.  Memory therefore grows with the
     number of samples or with the dimension, never with their product.
     """
-    times, blocks = _sampled_blocks(model, horizon, dt, dim_budget)
+    times = _time_grid(horizon, dt, _energy_scale(model))
+    blocks = _sampled_blocks(model, times, dim_budget)
     # a copy, so that no block outlives its turn
     column = np.concatenate([block[:, 0].copy() for block in blocks])
     values = column * np.exp(1j * model.h0_diag[0] * times)
@@ -553,8 +580,8 @@ def fit_decay(
             f"(T_rec = {recurrence_time:g})"
         )
     mask = (trace.times >= t_a) & (trace.times <= t_b)
-    if mask.sum() < 8:
-        raise ValueError("window contains fewer than 8 samples")
+    if mask.sum() < _MIN_FIT_SAMPLES:
+        raise ValueError(f"window contains fewer than {_MIN_FIT_SAMPLES} samples")
     t = trace.times[mask]
     f = trace.values[mask]
     magnitude = np.abs(f)
@@ -598,6 +625,13 @@ def dissipation_trace(
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
+    # the grid of the propagation, which runs with the decay coupling off
+    scale = _energy_scale(replace(model, v_xi=np.zeros_like(model.v_xi)))
+    return _sampled_dissipation(model, _time_grid(horizon, dt, scale), dim_budget)
+
+
+def _sampled_dissipation(model, times, dim_budget) -> DissipationTrace:
+    """dissipation_trace on a given uniform grid from tau = 0."""
     if np.linalg.norm(model.v_xi) == 0:
         raise ValueError("model has no decay coupling; D is undefined")
     phi = np.zeros(model.dimension, dtype=complex)
@@ -609,7 +643,7 @@ def dissipation_trace(
     def overlap(blocks):
         return np.concatenate([block @ bra for block in blocks])
 
-    times, blocks = _sampled_blocks(uncoupled, horizon, dt, dim_budget, phi)
+    blocks = _sampled_blocks(uncoupled, times, dim_budget, phi)
     weights = np.abs(phi[model.xi_indices]) ** 2
     energies = model.h0_diag[model.xi_indices]
     denominator = np.exp(-1j * np.outer(times, energies)) @ weights
@@ -621,10 +655,77 @@ def dissipation_trace(
     flags = []
     if model.drive is not None and model.drive.frequency > 0:
         period = 2.0 * np.pi / model.drive.frequency
-        _, shifted = _sampled_blocks(uncoupled, horizon, dt, dim_budget, phi, 0.25 * period)
+        shifted = _sampled_blocks(uncoupled, times, dim_budget, phi, 0.25 * period)
         micromotion = float(np.abs(overlap(shifted) / denominator - values).max())
         if micromotion > 0.01:
             flags.append(f"{MICROMOTION_WARNING}={micromotion:.3g}")
     return DissipationTrace(
         times=times, values=values, label=model.label, warnings=tuple(flags)
     )
+
+
+def _lower_toeplitz_solve(w, r):
+    """x with x_i + sum_{p < i} w[i - p] x_p = r_i, for w[0] = 0; r is overwritten.
+
+    Divide and conquer (Hairer, Lubich and Schlichte, SIAM J. Sci. Stat.
+    Comput. 6 (1985) 532): the first half is solved, its share of the
+    second half's sums is one FFT convolution, and the second half is
+    solved; blocks of _SOLVE_BLOCK rows take the block inverse, itself
+    lower-triangular Toeplitz.  O(N log^2 N), with no BLAS call, so the
+    bits do not depend on the BLAS build or its threads.
+    """
+    n = r.size
+    b = min(_SOLVE_BLOCK, n)
+    u = np.zeros(b, dtype=complex)
+    u[0] = 1.0
+    for i in range(1, b):
+        u[i] = -(w[i:0:-1] * u[:i]).sum()
+    lag = np.subtract.outer(np.arange(b), np.arange(b))
+    inverse = np.where(lag >= 0, u[np.maximum(lag, 0)], 0.0)
+
+    def solve(lo, hi):
+        if hi - lo <= b:
+            r[lo:hi] = (inverse[: hi - lo, : hi - lo] * r[lo:hi]).sum(axis=1)
+            return
+        mid = lo + b * -(-(hi - lo) // (2 * b))
+        solve(lo, mid)
+        # rows mid - lo .. hi - lo - 1 of the convolution take no wrapped
+        # terms at any transform length of hi - lo or more
+        size = fft.next_fast_len(hi - lo)
+        spectrum = fft.fft(r[lo:mid], size) * fft.fft(w[: hi - lo], size)
+        r[mid:hi] -= fft.ifft(spectrum)[mid - lo : hi - lo]
+        solve(mid, hi)
+
+    solve(0, n)
+
+
+def memory_kernel_amplitude(times: np.ndarray, kernel: np.ndarray) -> AmplitudeTrace:
+    """F(t) of F'(t) = -int_0^t K(t - s) F(s) ds, F(0) = 1, on a uniform grid.
+
+    kernel[j] is K(times[j]), and times starts at 0.  The trapezoid rule on
+    the integrated form F(t) = 1 - int_0^t k1(t - s) F(s) ds, with
+    k1(tau) = int_0^tau K, is second order in the spacing h (Brunner,
+    Collocation Methods for Volterra Integral and Related Functional
+    Differential Equations, CUP 2004), and each step is explicit because
+    k1(0) = 0.  The steps form a lower-triangular Toeplitz system, solved
+    in O(N log^2 N) for N samples.  A step too coarse for the kernel can
+    lift |F| above 1, which raises StepTooLargeError.
+    """
+    times = np.asarray(times, dtype=float)
+    kernel = np.asarray(kernel, dtype=complex)
+    n = times.size
+    if times.ndim != 1 or kernel.shape != times.shape or n < 2 or times[0] != 0.0:
+        raise ValueError("times and kernel must be matching 1-d arrays starting at t = 0")
+    h = times[-1] / (n - 1)
+    if not (np.isfinite(h) and h > 0) or np.abs(np.diff(times) - h).max() > 1e-9 * h:
+        raise NonUniformGridError("the memory-kernel solver needs a uniform time grid")
+    k1 = np.zeros(n, dtype=complex)
+    np.cumsum((0.5 * h) * (kernel[1:] + kernel[:-1]), out=k1[1:])
+    # F_j = 1 - (h/2) k1_j F_0 - sum_{0 < m < j} h k1_{j-m} F_m
+    values = np.empty(n, dtype=complex)
+    values[0] = 1.0
+    values[1:] = 1.0 - (0.5 * h) * k1[1:]
+    _lower_toeplitz_solve(h * k1, values[1:])
+    if np.abs(values).max() > 1.0 + _UNITARITY_TOL:
+        raise StepTooLargeError("|F| exceeds 1; the step is too coarse for the kernel")
+    return AmplitudeTrace(times=times, values=values)

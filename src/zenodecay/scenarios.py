@@ -7,6 +7,15 @@ a fixed rate.  ``build_analytic`` maps the scenario onto a broadening
 kernel for the rate integral; ``build_dynamic`` realizes the same physics
 as a finite Hermitian model for direct simulation, so the two decay
 constants can be compared with no shared approximations.
+
+``scenario_amplitude`` gives the level amplitude F(t) of that model.  A
+driven model is propagated whole.  In a cascade every Y mode carries an
+identical Z chain shifted by its energy, so F obeys the memory-kernel
+equation F' = -int C D F with no approximation: C(tau) sums the Y
+couplings and D(tau) is the dissipation function of one Y mode in its
+chain, sampled on a model of 2 + n_z states.  Both are taken at every dt
+step, where F is solved, and F is kept on the samples a propagation
+would keep.  The full cascade is never built on that route.
 """
 
 from __future__ import annotations
@@ -19,18 +28,25 @@ from scipy import sparse
 
 from .dynamics import (
     _DEFAULT_DIM_BUDGET,
+    _MIN_FIT_SAMPLES,
+    AmplitudeTrace,
     DiscretizedModel,
     DriveTerm,
     FitDiagnostics,
+    _energy_scale,
+    _grid_steps,
+    _sampled_dissipation,
+    _uniform_grid,
     discretize_continuum,
     dissipation_trace,
     fit_decay,
+    memory_kernel_amplitude,
     survival_amplitude,
 )
 # unused here since dynamic_gamma keeps only the survival amplitude;
 # perfbench/test_gate.py still checks that scenarios.propagate is patched
 from .dynamics import propagate  # noqa: F401
-from .errors import DimensionOverBudgetError, NonUniformGridError
+from .errors import DimensionOverBudgetError, NonUniformGridError, StepTooLargeError
 from .rates import DecayRateResult, perturbed_gamma
 from .spectral import (
     DiracKernel,
@@ -53,11 +69,16 @@ __all__ = [
     "build_trace_model",
     "analytic_gamma",
     "dynamic_gamma",
+    "scenario_amplitude",
     "scenario_trace",
 ]
 
 LEVEL_OFF_SUPPORT = "level_off_support"
 STRONG_DRIVE = "strong_drive"
+STEP_ERROR_WARNING = "step_error"
+
+# relative step error of a memory-kernel gamma above which the row is flagged
+_STEP_ERROR_LIMIT = 1e-4
 
 # flat stand-in band for a bare width: wide enough that the truncation
 # shifts the realized width by under 2% (checked against the closed form)
@@ -262,33 +283,44 @@ def _secondary_density(scenario) -> tuple[SpectralDensity, float]:
     return FlatDensity(level=width / math.pi, support=(-half_band, half_band)), 0.0
 
 
-def _cascade_model(
-    scenario, n_y: int, n_z: int, dim_budget: int, single_mode: bool
-) -> DiscretizedModel:
-    """Level + Y continuum, each Y mode carrying its own copy of the Z chain.
+def _z_chain(scenario, n_z: int):
+    """(zeta, w_z, z_res): the Z chain every Y mode carries.
 
     A bare zero width means there is no secondary continuum at all, so the
-    model degrades to pure decay (plus the diagonal shift when one is set).
+    chain is empty.
     """
-    lambda_i = getattr(scenario, "lambda_i", 0.0)
     if scenario.m_z is None and scenario.width == 0.0:
-        n_z = 0
-        zeta = np.empty(0)
-        w_z = np.empty(0)
-        z_res = 0.0
-    else:
-        m_z, z_res = _secondary_density(scenario)
-        zeta, w_z, _ = discretize_continuum(m_z, n_z)
-    if single_mode:
-        omega, v, dy = np.array([scenario.omega_f]), np.array([1.0]), None
-    else:
-        omega, v, dy = discretize_continuum(scenario.m_y, n_y)
-    n_modes = omega.size
+        return np.empty(0), np.empty(0), 0.0
+    m_z, z_res = _secondary_density(scenario)
+    zeta, w_z, _ = discretize_continuum(m_z, n_z)
+    return zeta, w_z, z_res
+
+
+def _single_mode(scenario):
+    """(omega, v, dy) of one fiducial Y mode at omega_f."""
+    return np.array([scenario.omega_f]), np.array([1.0]), None
+
+
+def _check_cascade_budget(n_modes: int, n_z: int, dim_budget: int) -> None:
     n = 1 + n_modes * (1 + n_z)
     if n > dim_budget:
         raise DimensionOverBudgetError(
             f"cascade model needs {n} states, budget is {dim_budget}"
         )
+
+
+def _cascade_model(scenario, y_modes, chain, dim_budget: int) -> DiscretizedModel:
+    """Level + the Y modes (omega, v, dy), each carrying its own copy of the Z chain.
+
+    A bare zero width degrades the model to pure decay (plus the diagonal
+    shift when one is set).
+    """
+    lambda_i = getattr(scenario, "lambda_i", 0.0)
+    omega, v, dy = y_modes
+    zeta, w_z, z_res = chain
+    n_modes, n_z = omega.size, zeta.size
+    _check_cascade_budget(n_modes, n_z, dim_budget)
+    n = 1 + n_modes * (1 + n_z)
     xi = 1 + np.arange(n_modes) * (1 + n_z)
     h0 = np.empty(n)
     h0[0] = scenario.omega_f
@@ -328,10 +360,69 @@ def _cascade_model(
     )
 
 
+def _coupling_correlation(energies, weights, n: int, spacing: float) -> np.ndarray:
+    """C(j spacing) = sum_k weights_k exp(-i energies_k j spacing), j < n.
+
+    Summed elementwise over blocks of 256 rows, never as a BLAS product.
+    A row's phases are those of its block's first row times those of its
+    place in the block, so only first rows take exponentials.
+    """
+    rows = 256
+    within = np.exp(-1j * np.outer(np.arange(rows) * spacing, energies))
+    out = np.empty(n, dtype=complex)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        first = weights * np.exp(-1j * (start * spacing) * energies)
+        out[start:stop] = (within[: stop - start] * first).sum(axis=1)
+    return out
+
+
+def _cascade_amplitude(scenario, horizon: float, controls: DynamicControls):
+    """F(t) of the cascade's full model by its memory kernel K = C D.
+
+    The samples are those survival_amplitude takes on the full model, whose
+    energy scale sets the default dt: omega ascends, so the extreme |h0|
+    entries sit on the first and last Y modes, and a model of those two and
+    the most strongly coupled one has the full model's scale.  F is solved
+    on every step of spacing about dt, not only on the samples, and again
+    at twice that step for the error estimate.
+    """
+    if not horizon > 0:
+        raise ValueError(f"horizon must be positive, got {horizon}")
+    omega, v, dy = discretize_continuum(scenario.m_y, controls.n_y)
+    chain = _z_chain(scenario, controls.n_z)
+    _check_cascade_budget(omega.size, chain[0].size, controls.dim_budget)
+    edges = np.unique([0, omega.size - 1, np.abs(v).argmax()])
+    reduced = _cascade_model(scenario, (omega[edges], v[edges], dy), chain, controls.dim_budget)
+    n_dt, stride = _grid_steps(horizon, controls.dt, _energy_scale(reduced))
+    steps = _uniform_grid(horizon, n_dt)
+    single = _cascade_model(scenario, _single_mode(scenario), chain, controls.dim_budget)
+    d = _sampled_dissipation(single, steps, controls.dim_budget)
+    correlation = _coupling_correlation(omega - scenario.omega_f, v * v, steps.size,
+                                        horizon / n_dt)
+    kernel = correlation * d.values
+    fine = memory_kernel_amplitude(steps, kernel).values
+    trace = AmplitudeTrace(times=steps[::stride], values=fine[::stride])
+    if steps.size < 3:
+        return trace, None
+    # both on every (2 thin)-th step, about as many points as the samples
+    thin = max(1, stride // 2)
+    times, f_h = steps[:: 2 * thin], fine[:: 2 * thin]
+    try:
+        f_2h = memory_kernel_amplitude(steps[::2], kernel[::2]).values[::thin]
+        error = float(np.abs(f_h - f_2h).max()) / 3.0
+    except StepTooLargeError:
+        # the doubled step breaks |F| <= 1, so it bounds nothing
+        f_2h, error = None, math.inf
+    if error > _STEP_ERROR_LIMIT:
+        trace = replace(trace, warnings=(f"{STEP_ERROR_WARNING}={error:.3g}",))
+    return trace, (times, f_h, f_2h)
+
+
 def _rabi_model(scenario, n_y: int, dim_budget: int, single_mode: bool) -> DiscretizedModel:
     omega_d = scenario.omega_21
     if single_mode:
-        omega, v, dy = np.array([scenario.omega_f]), np.array([1.0]), None
+        omega, v, dy = _single_mode(scenario)
     else:
         omega, v, dy = discretize_continuum(scenario.m_y, n_y)
     n_modes = omega.size
@@ -358,23 +449,47 @@ def _rabi_model(scenario, n_y: int, dim_budget: int, single_mode: bool) -> Discr
     )
 
 
+def _check_simulable(scenario) -> None:
+    """Raise unless the scenario has a finite model to simulate."""
+    if not isinstance(scenario, (RabiDriveScenario, UnstableLevelScenario, ScatteringScenario)):
+        raise TypeError(f"unknown scenario type {type(scenario).__name__}")
+    if isinstance(scenario, ScatteringScenario) and scenario.m_z is None:
+        raise ValueError(
+            "the bare-rate scattering form has no explicit environment to "
+            "simulate; give m_z and z_resonance for the dynamic route"
+        )
+
+
 def build_dynamic(scenario, controls: DynamicControls | None = None) -> DiscretizedModel:
     """Finite Hermitian realization of the scenario for direct simulation."""
     controls = controls or DynamicControls()
+    _check_simulable(scenario)
     if isinstance(scenario, RabiDriveScenario):
         return _rabi_model(scenario, controls.n_y, controls.dim_budget, False)
-    if isinstance(scenario, UnstableLevelScenario):
-        return _cascade_model(scenario, controls.n_y, controls.n_z,
-                              controls.dim_budget, False)
-    if isinstance(scenario, ScatteringScenario):
-        if scenario.m_z is None:
-            raise ValueError(
-                "the bare-rate scattering form has no explicit environment to "
-                "simulate; give m_z and z_resonance for the dynamic route"
-            )
-        return _cascade_model(scenario, controls.n_y, controls.n_z,
-                              controls.dim_budget, False)
-    raise TypeError(f"unknown scenario type {type(scenario).__name__}")
+    return _cascade_model(scenario, discretize_continuum(scenario.m_y, controls.n_y),
+                          _z_chain(scenario, controls.n_z), controls.dim_budget)
+
+
+def scenario_amplitude(scenario, horizon: float, controls: DynamicControls | None = None):
+    """(F(t) of build_dynamic(scenario, controls) out to the horizon, step check).
+
+    A driven model is propagated by survival_amplitude.  A cascade's F is
+    solved from its exact memory kernel, without building the full model,
+    on every step of the grid propagation would take and returned on the
+    samples propagation would keep.  The step check is (times, F at step h,
+    F at step 2h) on about as many times as the samples, the last None when
+    the doubled step lifts |F| above 1; when sup |F_h - F_2h| / 3 exceeds
+    1e-4 the trace carries a step_error warning.  The check is None for a
+    driven model, whose propagation the norm-drift guard covers, and on a
+    grid of under 3 steps.
+    """
+    controls = controls or DynamicControls()
+    _check_simulable(scenario)
+    if isinstance(scenario, RabiDriveScenario):
+        model = _rabi_model(scenario, controls.n_y, controls.dim_budget, False)
+        trace = survival_amplitude(model, horizon, controls.dt, dim_budget=controls.dim_budget)
+        return trace, None
+    return _cascade_amplitude(scenario, horizon, controls)
 
 
 def build_trace_model(
@@ -394,7 +509,8 @@ def build_trace_model(
         raise ValueError("the bare-rate scattering form is synthesized, not simulated")
     m_z, _ = _secondary_density(scenario)
     n_z = max(controls.n_z, int(np.ceil(m_z.width * 2.5 * horizon / (2.0 * math.pi))))
-    return _cascade_model(scenario, 1, n_z, controls.dim_budget, True)
+    return _cascade_model(scenario, _single_mode(scenario), _z_chain(scenario, n_z),
+                          controls.dim_budget)
 
 
 def scenario_trace(
@@ -420,8 +536,13 @@ def scenario_trace(
     return dissipation_trace(model, horizon, controls.dt, dim_budget=controls.dim_budget)
 
 
-def _default_window(scenario, model, expected: float) -> tuple[float, float]:
-    t_rec = model.recurrence_time
+def _recurrence_time(scenario, controls: DynamicControls) -> float:
+    """T_rec of build_dynamic(scenario, controls): 2 pi over the Y spacing."""
+    _check_simulable(scenario)
+    return 2.0 * np.pi / discretize_continuum(scenario.m_y, controls.n_y)[2]
+
+
+def _default_window(scenario, t_rec: float, expected: float) -> tuple[float, float]:
     span = scenario.m_y.width
     t_a = 10.0 / span
     if isinstance(scenario, RabiDriveScenario):
@@ -442,6 +563,30 @@ def _default_window(scenario, model, expected: float) -> tuple[float, float]:
     return t_a, t_b
 
 
+def _step_error(check, window) -> float | None:
+    """|gamma(h) - gamma(2h)| / 3 relative to gamma(h), or None without a check.
+
+    Both are fitted on the check's times, the window clipped to their end;
+    None as well when the clipped window holds too few of them for a fit,
+    and inf when F at 2h left |F| <= 1.  The trapezoid rule is second
+    order, so the gap is about three times the error of gamma(h).
+    """
+    if check is None:
+        return None
+    times, f_h, f_2h = check
+    t_a, t_b = window[0], min(window[1], times[-1])
+    if np.count_nonzero((times >= t_a) & (times <= t_b)) < _MIN_FIT_SAMPLES:
+        return None
+    if f_2h is None:
+        return math.inf
+    g_h, g_2h = (
+        2.0 * fit_decay(AmplitudeTrace(times=times, values=f), (t_a, t_b))[1].gamma_complex.real
+        for f in (f_h, f_2h)
+    )
+    gap = abs(g_h - g_2h)
+    return gap / (3.0 * abs(g_h)) if gap else 0.0
+
+
 def dynamic_gamma(
     scenario, controls: DynamicControls | None = None
 ) -> tuple[DecayRateResult, FitDiagnostics]:
@@ -449,19 +594,25 @@ def dynamic_gamma(
 
     The fit window defaults to clearing both the short-time transient
     (kernel memory or two drive periods) and the discretization recurrence;
-    the horizon stretches to the window end.
+    the horizon stretches to the window end.  F(t) comes from
+    scenario_amplitude.  For a cascade, the fit is repeated on F solved at
+    twice the step; diagnostics.step_error is the resulting relative error
+    estimate, and above 1e-4 it flags the row, which stays ok.  It is None
+    for a driven model and when the window holds too few of the check's
+    samples for a fit.
     """
     controls = controls or DynamicControls()
-    model = build_dynamic(scenario, controls)
+    t_rec = _recurrence_time(scenario, controls)
     expected = analytic_gamma(scenario).gamma
-    window = controls.fit_window or _default_window(scenario, model, expected)
+    window = controls.fit_window or _default_window(scenario, t_rec, expected)
     horizon = controls.horizon or window[1]
-    trace = survival_amplitude(model, horizon, controls.dt, dim_budget=controls.dim_budget)
+    trace, check = scenario_amplitude(scenario, horizon, controls)
     gamma0 = 2.0 * math.pi * scenario.m_y(scenario.omega_f)
-    result, diagnostics = fit_decay(
-        trace, window, recurrence_time=model.recurrence_time, gamma0=gamma0
-    )
+    result, diagnostics = fit_decay(trace, window, recurrence_time=t_rec, gamma0=gamma0)
+    diagnostics = replace(diagnostics, step_error=_step_error(check, window))
     flags = _scenario_warnings(scenario)
+    if diagnostics.step_error is not None and diagnostics.step_error > _STEP_ERROR_LIMIT:
+        flags += (f"{STEP_ERROR_WARNING}={diagnostics.step_error:.3g}",)
     if flags:
         result = replace(result, warnings=result.warnings + flags)
     return result, diagnostics

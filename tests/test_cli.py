@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from zenodecay import cli
 from zenodecay.cli import (
+    load_config,
     main,
     parse_config,
     render_rows,
@@ -27,6 +28,7 @@ from zenodecay.scenarios import (
     RabiDriveScenario,
     ScatteringScenario,
     UnstableLevelScenario,
+    scenario_amplitude,
 )
 from zenodecay.spectral import FlatDensity, PowerLawDensity, TabulatedDensity
 
@@ -215,6 +217,23 @@ class TestParseConfig:
             parse_config(rabi_config(output={"format": "xml"}))
         with pytest.raises(ConfigError, match="expected an object"):
             parse_config(rabi_config(output="out.csv"))
+        assert parse_config(rabi_config()).out_format == "csv"
+
+    @pytest.mark.parametrize("value", [None, False, 0, [], ""])
+    def test_output_that_is_not_an_object_is_rejected(self, value):
+        with pytest.raises(ConfigError) as info:
+            parse_config(rabi_config(output=value))
+        assert info.value.path == "$.output"
+
+    @pytest.mark.parametrize("key", ["omega", "values"])
+    def test_tabulated_entry_beyond_double_range_is_rejected(self, key):
+        density = {"kind": "tabulated", "omega": [0.0, 1.0], "values": [1.0, 1.0]}
+        density[key] = [0.0, 10**400]
+        cfg = rabi_config()
+        cfg["scenario"]["m_y"] = density
+        with pytest.raises(ConfigError, match="entry 1") as info:
+            parse_config(cfg)
+        assert info.value.path == f"$.scenario.m_y.{key}"
         config = parse_config(rabi_config(
             output={"path": "out.json", "format": "json"}
         ))
@@ -330,7 +349,9 @@ BAD_VALUES = {
         st.tuples(number, st.booleans() | non_finite | st.text(max_size=2)).map(list),
     ),
     "list": st.one_of(number, st.booleans(), st.none(), st.text(max_size=4),
-                      st.dictionaries(st.text(max_size=2), st.integers(), max_size=1)),
+                      st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+                      # an entry beyond the double range
+                      st.lists(number, max_size=2).map(lambda values: values + [10**400])),
 }
 # the keys of each kind of config object, by the kind of value they take
 KEYS = {
@@ -663,6 +684,18 @@ class TestRunSweep:
             assert serial == pooled
         assert ",error," in pooled and "fold the shift" in pooled
 
+    def test_coarse_cascade_step_is_flagged_and_row_stays_ok(self):
+        cfg = rabi_config(
+            scenario={"kind": "unstable", "m_y": dict(FLAT_Y), "omega_f": 0.0,
+                      "lambda_r": 0.3},
+            sweep={"path": "omega_f", "values": [0.0]},
+            routes="dynamic",
+            dynamic={"n_y": 100, "n_z": 50, "dt": 0.15},
+        )
+        (row,) = run_sweep(parse_config(cfg))
+        assert row["status"] == "ok"
+        assert row["warnings"].startswith("step_error=")
+
     def test_rate_row_builds_one_kernel(self, monkeypatch):
         import zenodecay.scenarios as scenarios
 
@@ -822,6 +855,39 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: zero width with a nonzero shift")
         assert captured.out == ""
+
+    def test_trace_cascade_amplitude_by_memory_kernel(self, tmp_path, capsys):
+        scenario = {"kind": "unstable", "m_y": dict(FLAT_Y), "omega_f": 0.0,
+                    "lambda_r": 0.3}
+        cfg = write_config(tmp_path, rabi_config(scenario=scenario, sweep=None,
+                                                 dynamic={"n_y": 100, "n_z": 50}))
+        assert main(["trace", cfg, "--quantity", "F", "--horizon", "5"]) == 0
+        header, data = parse_csv(capsys.readouterr().out)
+        config = load_config(cfg, require_sweep=False)
+        trace, _ = scenario_amplitude(config.scenario, 5.0, config.controls)
+        assert [float(row[0]) for row in data] == list(trace.times)
+        assert [complex(float(row[1]), float(row[2])) for row in data] == list(trace.values)
+
+    def test_trace_cascade_amplitude_warns_of_a_coarse_step(self, tmp_path, capsys):
+        scenario = {"kind": "unstable", "m_y": dict(FLAT_Y), "omega_f": 0.0,
+                    "lambda_r": 0.3}
+        cfg = write_config(tmp_path, rabi_config(scenario=scenario, sweep=None,
+                                                 dynamic={"n_y": 100, "n_z": 50, "dt": 0.15}))
+        assert main(["trace", cfg, "--quantity", "F", "--horizon", "10"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("warning: step_error=")
+        assert len(parse_csv(captured.out)[1]) == 68
+
+    def test_trace_cascade_amplitude_on_two_samples(self, tmp_path, capsys):
+        # a horizon under 1.5 dt is one step: no check, and the trace prints
+        scenario = {"kind": "unstable", "m_y": dict(FLAT_Y), "omega_f": 0.0,
+                    "lambda_r": 0.3}
+        cfg = write_config(tmp_path, rabi_config(scenario=scenario, sweep=None,
+                                                 dynamic={"n_y": 100, "n_z": 50, "dt": 0.04}))
+        assert main(["trace", cfg, "--quantity", "F", "--horizon", "0.05"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert [float(row[0]) for row in parse_csv(captured.out)[1]] == [0.0, 0.05]
 
     def test_trace_rejects_bad_horizon(self, tmp_path, capsys):
         cfg = write_config(tmp_path, rabi_config())

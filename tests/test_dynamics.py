@@ -18,6 +18,7 @@ from zenodecay.dynamics import (
     discretize_continuum,
     dissipation_trace,
     fit_decay,
+    memory_kernel_amplitude,
     no_decay_amplitude,
     propagate,
     survival_amplitude,
@@ -25,6 +26,7 @@ from zenodecay.dynamics import (
 from zenodecay.errors import (
     DimensionOverBudgetError,
     IllConditionedFitError,
+    NonUniformGridError,
     StepTooLargeError,
     VanishingDenominatorError,
     WindowBeyondRecurrenceError,
@@ -568,3 +570,58 @@ class TestDissipationTrace:
         model = chain_model(np.random.default_rng(7))
         with pytest.raises(DimensionOverBudgetError):
             dissipation_trace(model, 1.0, dim_budget=10)
+
+
+class TestMemoryKernelSolver:
+    @staticmethod
+    def exponential_kernel_amplitude(t, lam, kappa):
+        """F of K = lam^2 exp(-kappa tau): F'' + kappa F' + lam^2 F = 0, F'(0) = 0."""
+        root = np.sqrt(kappa**2 - 4.0 * lam**2 + 0j)
+        r1, r2 = (-kappa + root) / 2.0, (-kappa - root) / 2.0
+        return (r2 * np.exp(r1 * t) - r1 * np.exp(r2 * t)) / (r2 - r1)
+
+    def test_exponential_kernel_converges_at_second_order(self):
+        # a Lorentzian continuum detuned from the level: damped and shifted
+        lam, kappa = 0.5, 0.3 + 0.8j
+        errors = []
+        for n in (500, 1000, 2000):
+            t = np.linspace(0.0, 20.0, n + 1)
+            trace = memory_kernel_amplitude(t, lam**2 * np.exp(-kappa * t))
+            exact = self.exponential_kernel_amplitude(t, lam, kappa)
+            errors.append(np.abs(trace.values - exact).max())
+        assert errors[-1] < 1e-5
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.5 < coarse / fine < 4.5
+
+    def test_constant_kernel_gives_a_cosine(self):
+        t = np.linspace(0.0, 10.0, 2001)
+        trace = memory_kernel_amplitude(t, np.full(t.size, 0.25))
+        assert trace.values[0] == 1.0
+        assert np.abs(trace.values - np.cos(0.5 * t)).max() < 1e-5
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 65, 66, 129, 300, 1031])
+    def test_divide_and_conquer_equals_forward_substitution(self, n):
+        # block and half boundaries of the solver fall at multiples of 64
+        t = np.linspace(0.0, 0.02 * (n - 1), n)
+        kernel = 0.25 * np.exp(-(0.3 + 0.8j) * t) + 0.1 * np.exp(-3j * t)
+        h = t[1]
+        k1 = np.concatenate(([0.0], np.cumsum(0.5 * h * (kernel[1:] + kernel[:-1]))))
+        expected = np.ones(n, dtype=complex)
+        for j in range(1, n):
+            history = sum(h * k1[j - m] * expected[m] for m in range(1, j))
+            expected[j] = 1.0 - 0.5 * h * k1[j] - history
+        trace = memory_kernel_amplitude(t, kernel)
+        assert np.abs(trace.values - expected).max() < 1e-14
+
+    def test_step_beyond_unitarity_is_refused(self):
+        # K = 1/4 at a step of 10: F_1 = 1 - 12.5, far outside |F| <= 1
+        with pytest.raises(StepTooLargeError, match="too coarse"):
+            memory_kernel_amplitude(np.array([0.0, 10.0, 20.0]), np.full(3, 0.25))
+
+    def test_rejects_bad_grids(self):
+        with pytest.raises(NonUniformGridError):
+            memory_kernel_amplitude(np.array([0.0, 1.0, 3.0]), np.ones(3))
+        with pytest.raises(ValueError, match="starting at t = 0"):
+            memory_kernel_amplitude(np.array([1.0, 2.0, 3.0]), np.ones(3))
+        with pytest.raises(ValueError, match="matching"):
+            memory_kernel_amplitude(np.array([0.0, 1.0, 2.0]), np.ones(2))

@@ -1,11 +1,15 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from zenodecay import scenarios
+from zenodecay.dynamics import fit_decay, survival_amplitude
 from zenodecay.errors import DimensionOverBudgetError, NonUniformGridError
 from zenodecay.scenarios import (
     LEVEL_OFF_SUPPORT,
+    STEP_ERROR_WARNING,
     STRONG_DRIVE,
     DynamicControls,
     RabiDriveScenario,
@@ -16,6 +20,7 @@ from zenodecay.scenarios import (
     build_dynamic,
     build_trace_model,
     dynamic_gamma,
+    scenario_amplitude,
     scenario_trace,
 )
 from zenodecay.spectral import (
@@ -280,6 +285,135 @@ class TestTwoRouteAgreement:
         cubic = PowerLawDensity(amplitude=5e-4, exponent=3.0, support=(0.0, 2.0))
         scen = RabiDriveScenario(m_y=cubic, omega_f=1.0, omega=0.4, omega_21=5.0)
         analytic = analytic_gamma(scen)
-        dynamic, _ = dynamic_gamma(scen, DynamicControls(n_y=150))
+        dynamic, diag = dynamic_gamma(scen, DynamicControls(n_y=150))
         assert dynamic.gamma == pytest.approx(analytic.gamma, rel=0.05)
         assert dynamic.method == "dynamic_fit"
+        # a propagated amplitude has the norm-drift guard, not a step error
+        assert diag.step_error is None
+
+
+# one cascade of each form the memory-kernel route serves
+CASCADES = {
+    "explicit_m_z_off_centre": UnstableLevelScenario(
+        m_y=FLAT_Y, omega_f=0.3,
+        m_z=PowerLawDensity(amplitude=0.05, exponent=2.0, support=(0.0, 4.0)),
+        z_resonance=1.5),
+    "bare_width_with_shift": UnstableLevelScenario(m_y=FLAT_Y, omega_f=0.0, lambda_r=0.3,
+                                                   lambda_i=0.1),
+    "scattering_m_z": ScatteringScenario(
+        m_y=FLAT_Y, omega_f=0.0, m_z=FlatDensity(level=0.3 / np.pi, support=(-6.0, 6.0)),
+        z_resonance=0.0),
+    "zero_width": UnstableLevelScenario(m_y=FLAT_Y, omega_f=0.0, lambda_r=0.0),
+}
+
+
+class TestMemoryKernelRoute:
+    SMALL = DynamicControls(n_y=20, n_z=10)
+
+    @pytest.mark.parametrize("name", sorted(CASCADES))
+    def test_amplitude_equals_propagated_full_model(self, name):
+        scen = CASCADES[name]
+        trace, (times, f_h, f_2h) = scenario_amplitude(scen, 10.0, self.SMALL)
+        full = survival_amplitude(build_dynamic(scen, self.SMALL), 10.0)
+        # the grid survival_amplitude samples, so fit windows select the
+        # same samples
+        np.testing.assert_array_equal(trace.times, full.times)
+        # the trapezoid error at the default step is about 3e-7
+        assert np.abs(trace.values - full.values).max() <= 1e-6
+        assert trace.warnings == ()
+        # the check's F_h is the trace's F wherever their times meet
+        _, at_check, at_trace = np.intersect1d(times, trace.times, return_indices=True)
+        assert at_check.size >= trace.times.size // 3
+        np.testing.assert_array_equal(f_h[at_check], trace.values[at_trace])
+        assert np.abs(f_h - f_2h).max() <= 4e-6
+
+    def test_long_horizon_keeps_the_step(self):
+        # past 4000 steps the samples thin out, but the solver still steps
+        # at dt, so F stays as close to the propagated F as at short horizons
+        scen = CASCADES["explicit_m_z_off_centre"]
+        trace, (times, f_h, f_2h) = scenario_amplitude(scen, 300.0, self.SMALL)
+        full = survival_amplitude(build_dynamic(scen, self.SMALL), 300.0)
+        np.testing.assert_array_equal(trace.times, full.times)
+        assert trace.times.size < 4001 and trace.times[1] > 0.05
+        # the error grows with t, to 1.6e-6 at t = 300; with samples as
+        # steps it would be 4e-3
+        true_error = np.abs(trace.values - full.values).max()
+        assert true_error <= 3e-6
+        assert times.size >= trace.times.size
+        assert 0.5 * true_error <= np.abs(f_h - f_2h).max() / 3.0 <= 2.0 * true_error
+        assert trace.warnings == ()
+
+    def test_amplitude_error_is_second_order_in_the_step(self):
+        scen = CASCADES["explicit_m_z_off_centre"]
+        errors = []
+        for dt in (0.05, 0.025):
+            controls = replace(self.SMALL, dt=dt)
+            trace, _ = scenario_amplitude(scen, 10.0, controls)
+            full = survival_amplitude(build_dynamic(scen, controls), 10.0, dt)
+            errors.append(np.abs(trace.values - full.values).max())
+        assert 3.0 < errors[0] / errors[1] < 5.0
+
+    def test_full_cascade_is_never_built(self, monkeypatch):
+        build = scenarios._cascade_model
+
+        def few_modes_only(scenario, y_modes, chain, dim_budget):
+            # one fiducial mode for D, three for the energy scale
+            assert y_modes[0].size <= 3, "the full cascade model was built"
+            return build(scenario, y_modes, chain, dim_budget)
+
+        monkeypatch.setattr(scenarios, "_cascade_model", few_modes_only)
+        for scen in CASCADES.values():
+            scenario_amplitude(scen, 5.0, self.SMALL)
+        dynamic_gamma(CASCADES["bare_width_with_shift"], DynamicControls(n_y=60, n_z=40))
+
+    def test_dimension_budget_counts_the_full_model(self):
+        scen = CASCADES["bare_width_with_shift"]
+        # 1 + 10**4 * (1 + 10**4) states: refused before any grid of that size
+        with pytest.raises(DimensionOverBudgetError, match="100010001 states"):
+            dynamic_gamma(scen, DynamicControls(n_y=10**4, n_z=10**4))
+        with pytest.raises(DimensionOverBudgetError):
+            scenario_amplitude(scen, 5.0, replace(self.SMALL, dim_budget=220))
+        scenario_amplitude(scen, 5.0, replace(self.SMALL, dim_budget=221))
+
+    @pytest.mark.parametrize("dt", [None, 0.05])
+    def test_step_error_estimates_the_true_error(self, dt):
+        scen = CASCADES["bare_width_with_shift"]
+        controls = DynamicControls(n_y=60, n_z=40, dt=dt)
+        result, diag = dynamic_gamma(scen, controls)
+        full = survival_amplitude(build_dynamic(scen, controls), diag.window[1], dt)
+        propagated = fit_decay(full, diag.window)[0].gamma
+        true_error = abs(result.gamma / propagated - 1.0)
+        assert 0.5 * true_error <= diag.step_error <= 2.0 * true_error
+        assert not any(flag.startswith(STEP_ERROR_WARNING) for flag in result.warnings)
+
+    def test_coarse_step_is_flagged(self):
+        scen = CASCADES["bare_width_with_shift"]
+        result, diag = dynamic_gamma(scen, DynamicControls(n_y=60, n_z=40, dt=0.15))
+        assert diag.step_error > 1e-4
+        assert f"{STEP_ERROR_WARNING}={diag.step_error:.3g}" in result.warnings
+        trace, _ = scenario_amplitude(scen, 10.0, DynamicControls(n_y=60, n_z=40, dt=0.15))
+        (flag,) = trace.warnings
+        assert flag.startswith(f"{STEP_ERROR_WARNING}=")
+
+    def test_window_too_short_for_the_check_leaves_the_row_ok(self):
+        # 10 samples at dt 0.05 fit; every other one is too few for the check
+        scen = CASCADES["bare_width_with_shift"]
+        controls = DynamicControls(n_y=60, n_z=40, dt=0.05, fit_window=(5.0, 5.45))
+        result, diag = dynamic_gamma(scen, controls)
+        assert diag.step_error is None
+        assert not any(flag.startswith(STEP_ERROR_WARNING) for flag in result.warnings)
+        assert result.gamma == pytest.approx(0.05, rel=0.2)
+
+    def test_two_sample_grid_has_no_check(self):
+        scen = CASCADES["bare_width_with_shift"]
+        trace, check = scenario_amplitude(scen, 0.05, replace(self.SMALL, dt=0.04))
+        assert trace.times.tolist() == [0.0, 0.05]
+        assert check is None
+
+    def test_doubled_step_beyond_unitarity_bounds_nothing(self):
+        # a step of 8 against a Y band 10 wide lifts |F| above 1, so the
+        # check has no F at 2h and flags the trace with an infinite error
+        scen = CASCADES["explicit_m_z_off_centre"]
+        trace, (_, _, f_2h) = scenario_amplitude(scen, 10.0, replace(self.SMALL, dt=4.0))
+        assert f_2h is None
+        assert trace.warnings == (f"{STEP_ERROR_WARNING}=inf",)
