@@ -1,12 +1,13 @@
 """Time-domain route: discretized continua, propagation, decay fits.
 
 A DiscretizedModel holds the initial level (index 0), the decay modes it
-couples to (the xi sector) and any further modes, reached only through the
-final-state interaction W.  Propagating the Schroedinger equation and
-fitting ln F(t) over a window clear of both the short-time transient and
-the discretization recurrence gives the dynamic decay constant; evolving
-V|psi0> under H0 + W alone, the same propagation with the decay coupling
-switched off, gives the sampled dissipation function D(tau).
+couples to (the xi sector, indices 1..len(v_xi)) and any further modes,
+reached only through the final-state interaction W.  Propagating the
+Schroedinger equation and fitting ln F(t) over a window clear of both the
+short-time transient and the discretization recurrence gives the dynamic
+decay constant; evolving V|psi0> under H0 + W alone, the same propagation
+with the decay coupling switched off, gives the sampled dissipation
+function D(tau).
 
 Every model is evolved by a truncated Taylor series of the matrix
 exponential (Al-Mohy and Higham, SIAM J. Sci. Comput. 33 (2011) 488)
@@ -117,9 +118,8 @@ class DiscretizedModel:
     """Finite Hermitian model of level + continua.
 
     h0_diag: diagonal energies, entry 0 is the initial level.
-    xi_indices: distinct indices in 1..n-1 of the modes V couples to; the
+    v_xi: decay amplitudes <k|V|psi0> of the modes k = 1..len(v_xi); the
         other indices in 1..n-1 are reached only through W.
-    v_xi: decay amplitudes <xi_k|V|psi0>, aligned with xi_indices.
     w_static: Hermitian final-state interaction (row/col 0 empty).
     drive: optional oscillating part of W.
     xi_spacing: grid spacing of the xi continuum, sets the recurrence time.
@@ -128,7 +128,6 @@ class DiscretizedModel:
     """
 
     h0_diag: np.ndarray
-    xi_indices: np.ndarray
     v_xi: np.ndarray
     w_static: sparse.csr_matrix | None = None
     drive: DriveTerm | None = None
@@ -137,23 +136,19 @@ class DiscretizedModel:
 
     def __post_init__(self):
         h0 = np.asarray(self.h0_diag, dtype=float)
-        xi = np.asarray(self.xi_indices, dtype=np.intp)
         v = np.asarray(self.v_xi, dtype=complex)
         n = h0.size
         if h0.ndim != 1 or n < 2:
             raise ValueError("h0_diag must be a 1-d array with at least 2 entries")
         if not np.all(np.isfinite(h0)):
             raise ValueError("h0_diag must be finite")
-        if xi.ndim != 1 or np.unique(xi).size != xi.size or not np.all((xi >= 1) & (xi < n)):
-            raise ValueError("xi_indices must be distinct indices inside 1..n-1")
-        if v.shape != xi.shape:
-            raise ValueError("v_xi must align with xi_indices")
+        if v.ndim != 1 or v.size >= n:
+            raise ValueError("v_xi must be a 1-d array of at most n - 1 amplitudes")
         if not np.all(np.isfinite(v)):
             raise ValueError("v_xi must be finite")
-        for arr in (h0, xi, v):
+        for arr in (h0, v):
             arr.setflags(write=False)
         object.__setattr__(self, "h0_diag", h0)
-        object.__setattr__(self, "xi_indices", xi)
         object.__setattr__(self, "v_xi", v)
         if self.w_static is not None:
             w = sparse.csr_matrix(self.w_static, dtype=complex)
@@ -173,11 +168,6 @@ class DiscretizedModel:
         if self.xi_spacing:
             return 2.0 * np.pi / self.xi_spacing
         return None
-
-    @property
-    def xi_span(self) -> float:
-        energies = self.h0_diag[self.xi_indices]
-        return float(energies.max() - energies.min()) if energies.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -248,7 +238,6 @@ def build_decay_model(
     h0 = np.concatenate(([e0], omega))
     return DiscretizedModel(
         h0_diag=h0,
-        xi_indices=np.arange(1, n_modes + 1),
         v_xi=couplings.astype(complex),
         label=label,
         xi_spacing=spacing,
@@ -259,7 +248,7 @@ def _static_matrix(model: DiscretizedModel):
     n = model.dimension
     parts = [sparse.diags(model.h0_diag.astype(complex), format="csr")]
     if model.v_xi.size:
-        xi = model.xi_indices
+        xi = np.arange(1, model.v_xi.size + 1)
         zeros = np.zeros_like(xi)
         rows = np.concatenate([xi, zeros])
         cols = np.concatenate([zeros, xi])
@@ -472,6 +461,11 @@ def _evolve(static, drive, psi0, times, t_offset=0.0):
         yield block
 
 
+def _check_budget(n: int, dim_budget: int) -> None:
+    if n > dim_budget:
+        raise DimensionOverBudgetError(f"model needs {n} states, budget is {dim_budget}")
+
+
 def _sampled_blocks(model, times, dim_budget, initial_state=None, t_offset=0.0):
     """Lazy blocks of the states sampled at times, of every propagation.
 
@@ -479,8 +473,7 @@ def _sampled_blocks(model, times, dim_budget, initial_state=None, t_offset=0.0):
     state is propagated.  t_offset shifts the drive's clock.
     """
     n = model.dimension
-    if n > dim_budget:
-        raise DimensionOverBudgetError(f"dimension {n} exceeds budget {dim_budget}")
+    _check_budget(n, dim_budget)
     if initial_state is None:
         psi0 = np.zeros(n, dtype=complex)
         psi0[0] = 1.0
@@ -634,8 +627,9 @@ def _sampled_dissipation(model, times, dim_budget) -> DissipationTrace:
     """dissipation_trace on a given uniform grid from tau = 0."""
     if np.linalg.norm(model.v_xi) == 0:
         raise ValueError("model has no decay coupling; D is undefined")
+    xi = slice(1, 1 + model.v_xi.size)
     phi = np.zeros(model.dimension, dtype=complex)
-    phi[model.xi_indices] = model.v_xi
+    phi[xi] = model.v_xi
     phi /= np.linalg.norm(phi)
     uncoupled = replace(model, v_xi=np.zeros_like(model.v_xi))
     bra = np.conj(phi)
@@ -644,8 +638,8 @@ def _sampled_dissipation(model, times, dim_budget) -> DissipationTrace:
         return np.concatenate([block @ bra for block in blocks])
 
     blocks = _sampled_blocks(uncoupled, times, dim_budget, phi)
-    weights = np.abs(phi[model.xi_indices]) ** 2
-    energies = model.h0_diag[model.xi_indices]
+    weights = np.abs(phi[xi]) ** 2
+    energies = model.h0_diag[xi]
     denominator = np.exp(-1j * np.outer(times, energies)) @ weights
     if np.abs(denominator).min() < _DENOMINATOR_FLOOR:
         raise VanishingDenominatorError(
@@ -697,6 +691,9 @@ def _lower_toeplitz_solve(w, r):
         solve(mid, hi)
 
     solve(0, n)
+    # solve holds itself through its closure; unbinding it frees the cycle,
+    # and the arrays it holds, now rather than at the next full collection
+    del solve
 
 
 def memory_kernel_amplitude(times: np.ndarray, kernel: np.ndarray) -> AmplitudeTrace:

@@ -8,12 +8,18 @@ kernel for the rate integral; ``build_dynamic`` realizes the same physics
 as a finite Hermitian model for direct simulation, so the two decay
 constants can be compared with no shared approximations.
 
+Every dynamic model is one star: the level couples to the Y modes, and
+each Y mode carries an identical copy of one final-state sector, shifted
+by the mode's energy.  The sector is what makes the final state lose
+coherence: the mode and its driven partner, or the mode and its Z chain.
+``_sector`` gives it once and ``_star_model`` lays it out per Y mode,
+with the decay modes at states 1..n_y.
+
 ``scenario_amplitude`` gives the level amplitude F(t) of that model.  A
-driven model is propagated whole.  In a cascade every Y mode carries an
-identical Z chain shifted by its energy, so F obeys the memory-kernel
+driven model is propagated whole.  A cascade's F obeys the memory-kernel
 equation F' = -int C D F with no approximation: C(tau) sums the Y
 couplings and D(tau) is the dissipation function of one Y mode in its
-chain, sampled on a model of 2 + n_z states.  Both are taken at every dt
+sector, sampled on a model of 2 + n_z states.  Both are taken at every dt
 step, where F is solved, and F is kept on the samples a propagation
 would keep.  The full cascade is never built on that route.
 """
@@ -33,6 +39,7 @@ from .dynamics import (
     DiscretizedModel,
     DriveTerm,
     FitDiagnostics,
+    _check_budget,
     _energy_scale,
     _grid_steps,
     _sampled_dissipation,
@@ -46,7 +53,7 @@ from .dynamics import (
 # unused here since dynamic_gamma keeps only the survival amplitude;
 # perfbench/test_gate.py still checks that scenarios.propagate is patched
 from .dynamics import propagate  # noqa: F401
-from .errors import DimensionOverBudgetError, NonUniformGridError, StepTooLargeError
+from .errors import NonUniformGridError, StepTooLargeError
 from .rates import DecayRateResult, perturbed_gamma
 from .spectral import (
     DiracKernel,
@@ -283,78 +290,64 @@ def _secondary_density(scenario) -> tuple[SpectralDensity, float]:
     return FlatDensity(level=width / math.pi, support=(-half_band, half_band)), 0.0
 
 
-def _z_chain(scenario, n_z: int):
-    """(zeta, w_z, z_res): the Z chain every Y mode carries.
-
-    A bare zero width means there is no secondary continuum at all, so the
-    chain is empty.
-    """
-    if scenario.m_z is None and scenario.width == 0.0:
-        return np.empty(0), np.empty(0), 0.0
-    m_z, z_res = _secondary_density(scenario)
-    zeta, w_z, _ = discretize_continuum(m_z, n_z)
-    return zeta, w_z, z_res
-
-
 def _single_mode(scenario):
     """(omega, v, dy) of one fiducial Y mode at omega_f."""
     return np.array([scenario.omega_f]), np.array([1.0]), None
 
 
-def _check_cascade_budget(n_modes: int, n_z: int, dim_budget: int) -> None:
-    n = 1 + n_modes * (1 + n_z)
-    if n > dim_budget:
-        raise DimensionOverBudgetError(
-            f"cascade model needs {n} states, budget is {dim_budget}"
-        )
+def _sector(scenario, n_z: int):
+    """(offsets, w, drive): the final-state sector every Y mode carries.
 
-
-def _cascade_model(scenario, y_modes, chain, dim_budget: int) -> DiscretizedModel:
-    """Level + the Y modes (omega, v, dy), each carrying its own copy of the Z chain.
-
-    A bare zero width degrades the model to pure decay (plus the diagonal
-    shift when one is set).
+    offsets are the sector's energies above its Y mode, which is entry 0;
+    w is its static coupling and drive its (amplitude, frequency), each
+    None when absent.  A driven sector is the mode and its partner at
+    omega_21.  A cascade's is the mode and its Z chain of n_z states, with
+    -lambda_i on the mode when set; a bare zero width has no chain.
     """
+    if isinstance(scenario, RabiDriveScenario):
+        pair = sparse.csr_matrix([[0.0, scenario.omega], [scenario.omega, 0.0]])
+        return np.array([0.0, scenario.omega_21]), None, (pair, scenario.omega_21)
     lambda_i = getattr(scenario, "lambda_i", 0.0)
-    omega, v, dy = y_modes
-    zeta, w_z, z_res = chain
-    n_modes, n_z = omega.size, zeta.size
-    _check_cascade_budget(n_modes, n_z, dim_budget)
-    n = 1 + n_modes * (1 + n_z)
-    xi = 1 + np.arange(n_modes) * (1 + n_z)
-    h0 = np.empty(n)
-    h0[0] = scenario.omega_f
-    rows, cols, vals = [], [], []
-    for k in range(n_modes):
-        base = xi[k]
-        # the diagonal W entry below shifts the dressed xi level to
-        # omega_k - lambda_i; the Z band recenters there to stay resonant
-        h0[base] = omega[k]
-        h0[base + 1 : base + 1 + n_z] = (omega[k] - lambda_i) + (zeta - z_res)
-        rows.append(np.full(n_z, base))
-        cols.append(np.arange(base + 1, base + 1 + n_z))
-        vals.append(w_z)
-    up_rows = np.concatenate(rows)
-    up_cols = np.concatenate(cols)
-    up_vals = np.concatenate(vals).astype(complex)
-    all_rows = [up_rows, up_cols]
-    all_cols = [up_cols, up_rows]
-    all_vals = [up_vals, np.conj(up_vals)]
-    if lambda_i:
-        all_rows.append(xi)
-        all_cols.append(xi)
-        all_vals.append(np.full(xi.size, -lambda_i, dtype=complex))
-    w_static = sparse.csr_matrix(
-        (np.concatenate(all_vals), (np.concatenate(all_rows), np.concatenate(all_cols))),
-        shape=(n, n),
+    zeta, w_z, z_res = np.empty(0), np.empty(0), 0.0
+    if scenario.m_z is not None or scenario.width != 0.0:
+        m_z, z_res = _secondary_density(scenario)
+        zeta, w_z, _ = discretize_continuum(m_z, n_z)
+    chain = np.arange(1, zeta.size + 1)
+    shift = np.zeros(1 if lambda_i else 0, dtype=int)
+    w = sparse.csr_matrix(
+        (np.concatenate([w_z, w_z, np.full(shift.size, -lambda_i)]).astype(complex),
+         (np.concatenate([np.zeros_like(chain), chain, shift]),
+          np.concatenate([chain, np.zeros_like(chain), shift]))),
+        shape=(1 + zeta.size, 1 + zeta.size),
     )
-    if w_static.nnz == 0:
-        w_static = None
+    # -lambda_i shifts the dressed mode to omega_k - lambda_i; the Z band
+    # recenters there to stay resonant
+    offsets = np.concatenate(([0.0], (zeta - z_res) - lambda_i))
+    return offsets, (w if w.nnz else None), None
+
+
+def _star_model(scenario, y_modes, sector, dim_budget: int) -> DiscretizedModel:
+    """Level + the Y modes (omega, v, dy), each carrying a copy of the sector.
+
+    The copies are laid out by sector state: state a of Y mode k is
+    1 + a n_y + k, so the decay modes are states 1..n_y.
+    """
+    omega, v, dy = y_modes
+    offsets, w, drive = sector
+    n = 1 + omega.size * offsets.size
+    _check_budget(n, dim_budget)
+    eye = sparse.identity(omega.size, format="csr")
+
+    def copies(mat):
+        kron = sparse.kron(mat, eye, format="coo")
+        return sparse.csr_matrix((kron.data, (kron.row + 1, kron.col + 1)), shape=(n, n))
+
     return DiscretizedModel(
-        h0_diag=h0,
-        xi_indices=xi,
+        h0_diag=np.concatenate(([scenario.omega_f], (omega + offsets[:, None]).ravel())),
         v_xi=v.astype(complex),
-        w_static=w_static,
+        w_static=None if w is None else copies(w),
+        drive=None if drive is None else DriveTerm(amplitude=copies(drive[0]),
+                                                   frequency=drive[1]),
         label=scenario.label,
         xi_spacing=dy,
     )
@@ -390,13 +383,13 @@ def _cascade_amplitude(scenario, horizon: float, controls: DynamicControls):
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     omega, v, dy = discretize_continuum(scenario.m_y, controls.n_y)
-    chain = _z_chain(scenario, controls.n_z)
-    _check_cascade_budget(omega.size, chain[0].size, controls.dim_budget)
+    sector = _sector(scenario, controls.n_z)
+    _check_budget(1 + omega.size * sector[0].size, controls.dim_budget)
     edges = np.unique([0, omega.size - 1, np.abs(v).argmax()])
-    reduced = _cascade_model(scenario, (omega[edges], v[edges], dy), chain, controls.dim_budget)
+    reduced = _star_model(scenario, (omega[edges], v[edges], dy), sector, controls.dim_budget)
     n_dt, stride = _grid_steps(horizon, controls.dt, _energy_scale(reduced))
     steps = _uniform_grid(horizon, n_dt)
-    single = _cascade_model(scenario, _single_mode(scenario), chain, controls.dim_budget)
+    single = _star_model(scenario, _single_mode(scenario), sector, controls.dim_budget)
     d = _sampled_dissipation(single, steps, controls.dim_budget)
     correlation = _coupling_correlation(omega - scenario.omega_f, v * v, steps.size,
                                         horizon / n_dt)
@@ -419,36 +412,6 @@ def _cascade_amplitude(scenario, horizon: float, controls: DynamicControls):
     return trace, (times, f_h, f_2h)
 
 
-def _rabi_model(scenario, n_y: int, dim_budget: int, single_mode: bool) -> DiscretizedModel:
-    omega_d = scenario.omega_21
-    if single_mode:
-        omega, v, dy = _single_mode(scenario)
-    else:
-        omega, v, dy = discretize_continuum(scenario.m_y, n_y)
-    n_modes = omega.size
-    n = 1 + 2 * n_modes
-    if n > dim_budget:
-        raise DimensionOverBudgetError(
-            f"driven model needs {n} states, budget is {dim_budget}"
-        )
-    xi = np.arange(1, n_modes + 1)
-    eta = np.arange(n_modes + 1, n)
-    h0 = np.concatenate(([scenario.omega_f], omega, omega + omega_d))
-    amp_vals = np.full(2 * n_modes, scenario.omega, dtype=complex)
-    amp = sparse.csr_matrix(
-        (amp_vals, (np.concatenate([xi, eta]), np.concatenate([eta, xi]))),
-        shape=(n, n),
-    )
-    return DiscretizedModel(
-        h0_diag=h0,
-        xi_indices=xi,
-        v_xi=v.astype(complex),
-        drive=DriveTerm(amplitude=amp, frequency=omega_d),
-        label=scenario.label,
-        xi_spacing=dy,
-    )
-
-
 def _check_simulable(scenario) -> None:
     """Raise unless the scenario has a finite model to simulate."""
     if not isinstance(scenario, (RabiDriveScenario, UnstableLevelScenario, ScatteringScenario)):
@@ -464,10 +427,8 @@ def build_dynamic(scenario, controls: DynamicControls | None = None) -> Discreti
     """Finite Hermitian realization of the scenario for direct simulation."""
     controls = controls or DynamicControls()
     _check_simulable(scenario)
-    if isinstance(scenario, RabiDriveScenario):
-        return _rabi_model(scenario, controls.n_y, controls.dim_budget, False)
-    return _cascade_model(scenario, discretize_continuum(scenario.m_y, controls.n_y),
-                          _z_chain(scenario, controls.n_z), controls.dim_budget)
+    return _star_model(scenario, discretize_continuum(scenario.m_y, controls.n_y),
+                       _sector(scenario, controls.n_z), controls.dim_budget)
 
 
 def scenario_amplitude(scenario, horizon: float, controls: DynamicControls | None = None):
@@ -484,11 +445,11 @@ def scenario_amplitude(scenario, horizon: float, controls: DynamicControls | Non
     grid of under 3 steps.
     """
     controls = controls or DynamicControls()
-    _check_simulable(scenario)
     if isinstance(scenario, RabiDriveScenario):
-        model = _rabi_model(scenario, controls.n_y, controls.dim_budget, False)
+        model = build_dynamic(scenario, controls)
         trace = survival_amplitude(model, horizon, controls.dt, dim_budget=controls.dim_budget)
         return trace, None
+    _check_simulable(scenario)
     return _cascade_amplitude(scenario, horizon, controls)
 
 
@@ -503,14 +464,13 @@ def build_trace_model(
     clears 2.5 times the requested horizon.
     """
     controls = controls or DynamicControls()
-    if isinstance(scenario, RabiDriveScenario):
-        return _rabi_model(scenario, 1, controls.dim_budget, True)
-    if isinstance(scenario, ScatteringScenario) and scenario.m_z is None:
-        raise ValueError("the bare-rate scattering form is synthesized, not simulated")
-    m_z, _ = _secondary_density(scenario)
-    n_z = max(controls.n_z, int(np.ceil(m_z.width * 2.5 * horizon / (2.0 * math.pi))))
-    return _cascade_model(scenario, _single_mode(scenario), _z_chain(scenario, n_z),
-                          controls.dim_budget)
+    _check_simulable(scenario)
+    n_z = controls.n_z
+    if not isinstance(scenario, RabiDriveScenario):
+        m_z, _ = _secondary_density(scenario)
+        n_z = max(n_z, int(np.ceil(m_z.width * 2.5 * horizon / (2.0 * math.pi))))
+    return _star_model(scenario, _single_mode(scenario), _sector(scenario, n_z),
+                       controls.dim_budget)
 
 
 def scenario_trace(

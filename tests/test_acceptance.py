@@ -202,7 +202,6 @@ def test_criterion_7_dissipation_function_oracles():
     # no interaction: D stays at unity
     model = DiscretizedModel(
         h0_diag=np.array([0.0, 0.3, 1.1 * np.sqrt(2.0), np.e]),
-        xi_indices=np.array([1, 2, 3]),
         v_xi=np.array([0.5, 0.4, 0.3], dtype=complex),
     )
     unity_err = np.abs(dissipation_trace(model, 10.0).values - 1.0).max()

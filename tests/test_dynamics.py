@@ -51,7 +51,6 @@ def chain_model(rng, n=30, n_xi=15):
     ]
     return DiscretizedModel(
         h0_diag=h0,
-        xi_indices=np.arange(1, n_xi + 1),
         v_xi=(0.1 * rng.normal(size=n_xi)).astype(complex),
         w_static=pair_coupling(n, links),
     )
@@ -63,7 +62,6 @@ def zero_frequency_twin(model, frequency=0.0):
     w = model.w_static if model.w_static is not None else sparse.csr_matrix((n, n))
     return DiscretizedModel(
         h0_diag=model.h0_diag,
-        xi_indices=model.xi_indices,
         v_xi=model.v_xi,
         drive=DriveTerm(amplitude=w, frequency=frequency),
     )
@@ -72,8 +70,9 @@ def zero_frequency_twin(model, frequency=0.0):
 def dense_static(model):
     """The time-independent Hamiltonian H0 + V + W_static as a dense matrix."""
     h = np.diag(model.h0_diag).astype(complex)
-    h[model.xi_indices, 0] = model.v_xi
-    h[0, model.xi_indices] = np.conj(model.v_xi)
+    xi = np.arange(1, model.v_xi.size + 1)
+    h[xi, 0] = model.v_xi
+    h[0, xi] = np.conj(model.v_xi)
     if model.w_static is not None:
         h += model.w_static.toarray()
     return h
@@ -89,27 +88,21 @@ def eigh_states(model, times, psi0):
 def two_level(coupling=0.3, energy=0.7):
     return DiscretizedModel(
         h0_diag=np.array([energy, energy]),
-        xi_indices=np.array([1]),
         v_xi=np.array([coupling + 0.0j]),
     )
 
 
 class TestModelValidation:
     def test_bad_sector_partition(self):
-        # xi must be distinct indices inside 1..n-1
-        for xi in ([1, 1], [0, 2], [2, 4]):
-            with pytest.raises(ValueError, match="xi_indices"):
-                DiscretizedModel(
-                    h0_diag=np.zeros(4),
-                    xi_indices=np.array(xi),
-                    v_xi=np.zeros(2, dtype=complex),
-                )
+        # the decay modes are states 1..len(v_xi), one amplitude each
+        with pytest.raises(ValueError, match="v_xi"):
+            DiscretizedModel(h0_diag=np.zeros(4), v_xi=np.zeros((2, 1)))
 
     def test_misaligned_couplings(self):
-        with pytest.raises(ValueError):
+        # more decay amplitudes than states beside the initial level
+        with pytest.raises(ValueError, match="v_xi"):
             DiscretizedModel(
                 h0_diag=np.zeros(3),
-                xi_indices=np.array([1, 2]),
                 v_xi=np.zeros(3, dtype=complex),
             )
 
@@ -120,7 +113,6 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="Hermitian"):
             DiscretizedModel(
                 h0_diag=np.zeros(3),
-                xi_indices=np.array([1, 2]),
                 v_xi=np.zeros(2, dtype=complex),
                 w_static=w,
             )
@@ -130,7 +122,6 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="initial level"):
             DiscretizedModel(
                 h0_diag=np.zeros(3),
-                xi_indices=np.array([1, 2]),
                 v_xi=np.zeros(2, dtype=complex),
                 w_static=w,
             )
@@ -146,7 +137,6 @@ class TestModelValidation:
         )
         assert model.dimension == 11
         assert model.recurrence_time == pytest.approx(2.0 * np.pi)
-        assert model.xi_span == pytest.approx(9.0)
         bare = two_level()
         assert bare.recurrence_time is None
 
@@ -168,7 +158,7 @@ class TestDiscretization:
             FlatDensity(level=0.2, support=(-5.0, 5.0)), 0.3, 10
         )
         assert model.h0_diag[0] == 0.3
-        np.testing.assert_array_equal(model.xi_indices, np.arange(1, 11))
+        np.testing.assert_array_equal(model.h0_diag[1:], np.arange(-4.5, 5.0, 1.0))
         assert model.w_static is None
 
 
@@ -328,7 +318,8 @@ class TestTaylorPropagator:
             # one sample spacing is past theta_55 = 9.9 in the 1-norm, so
             # every sample takes several substeps
             h = np.diag(model.h0_diag) + np.abs(model.w_static.toarray())
-            h[model.xi_indices, 0] = h[0, model.xi_indices] = np.abs(model.v_xi)
+            xi = np.arange(1, model.v_xi.size + 1)
+            h[xi, 0] = h[0, xi] = np.abs(model.v_xi)
             shifted = h - np.mean(model.h0_diag) * np.eye(model.dimension)
             assert np.abs(shifted).sum(axis=0).max() * dt > 9.9
         reference = eigh_states(model, traj.times, self.initial(model))
@@ -521,7 +512,6 @@ class TestDissipationTrace:
     def test_no_interaction_gives_unity(self):
         model = DiscretizedModel(
             h0_diag=np.array([0.0, 0.3, 1.1 * np.sqrt(2.0), np.e]),
-            xi_indices=np.array([1, 2, 3]),
             v_xi=np.array([0.5, 0.4, 0.3], dtype=complex),
         )
         trace = dissipation_trace(model, 10.0)
@@ -533,7 +523,6 @@ class TestDissipationTrace:
             dissipation_trace(model, -1.0)
         silent = DiscretizedModel(
             h0_diag=np.zeros(2),
-            xi_indices=np.array([1]),
             v_xi=np.array([0.0 + 0.0j]),
         )
         with pytest.raises(ValueError):
@@ -544,7 +533,6 @@ class TestDissipationTrace:
         monkeypatch.setattr(dynamics, "_taylor_blocks", None)
         model = DiscretizedModel(
             h0_diag=np.array([0.0, 0.0, np.pi]),
-            xi_indices=np.array([1, 2]),
             v_xi=np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
         )
         # the free overlap (1 + exp(-i pi tau))/2 crosses zero at tau = 1
@@ -557,7 +545,6 @@ class TestDissipationTrace:
         )
         model = DiscretizedModel(
             h0_diag=np.array([0.0, 2.0, 1.0]),
-            xi_indices=np.array([1]),
             v_xi=np.array([1.0 + 0.0j]),
             drive=drive,
         )

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from zenodecay import scenarios
-from zenodecay.dynamics import fit_decay, survival_amplitude
+from zenodecay.dynamics import (
+    DiscretizedModel,
+    discretize_continuum,
+    fit_decay,
+    survival_amplitude,
+)
 from zenodecay.errors import DimensionOverBudgetError, NonUniformGridError
 from zenodecay.scenarios import (
     LEVEL_OFF_SUPPORT,
@@ -34,6 +39,20 @@ from zenodecay.spectral import (
 
 FLAT_Y = FlatDensity(level=0.05 / (2.0 * np.pi), support=(-5.0, 5.0))
 CUBIC = PowerLawDensity(amplitude=1.0, exponent=3.0, support=(0.0, 2.0))
+
+# one cascade of each form the memory-kernel route serves
+CASCADES = {
+    "explicit_m_z_off_centre": UnstableLevelScenario(
+        m_y=FLAT_Y, omega_f=0.3,
+        m_z=PowerLawDensity(amplitude=0.05, exponent=2.0, support=(0.0, 4.0)),
+        z_resonance=1.5),
+    "bare_width_with_shift": UnstableLevelScenario(m_y=FLAT_Y, omega_f=0.0, lambda_r=0.3,
+                                                   lambda_i=0.1),
+    "scattering_m_z": ScatteringScenario(
+        m_y=FLAT_Y, omega_f=0.0, m_z=FlatDensity(level=0.3 / np.pi, support=(-6.0, 6.0)),
+        z_resonance=0.0),
+    "zero_width": UnstableLevelScenario(m_y=FLAT_Y, omega_f=0.0, lambda_r=0.0),
+}
 
 
 class TestScenarioValidation:
@@ -156,26 +175,45 @@ class TestAnalyticGamma:
 
 
 class TestBuildDynamic:
-    def test_rabi_model_layout(self):
-        scen = RabiDriveScenario(m_y=FLAT_Y, omega_f=0.2, omega=0.2, omega_21=4.0)
-        model = build_dynamic(scen, DynamicControls(n_y=500))
-        assert model.dimension == 1001
-        assert model.drive.frequency == 4.0
-        # the drive couples each xi mode to a partner outside xi, never
-        # the initial level
-        rows, cols = model.drive.amplitude.nonzero()
-        assert np.all(np.isin(rows, model.xi_indices) != np.isin(cols, model.xi_indices))
-        assert 0 not in rows
-        np.testing.assert_allclose(np.abs(model.drive.amplitude.data), 0.2)
+    @pytest.mark.parametrize("name", ["rabi", *sorted(CASCADES)])
+    def test_star_layout(self, name):
+        # every Y mode carries an identical copy of one sector, the premise
+        # of the memory-kernel route
+        scen = CASCADES.get(name) or RabiDriveScenario(m_y=FLAT_Y, omega_f=0.2, omega=0.2,
+                                                      omega_21=4.0)
+        n_y, controls = 20, DynamicControls(n_z=10)
+        model = build_dynamic(scen, replace(controls, n_y=n_y))
+        if name == "zero_width":
+            # no chain: the sector is the Y mode alone, with no trace model
+            with pytest.raises(ValueError, match="nothing to build"):
+                build_trace_model(scen, 1.0, controls)
+            single = DiscretizedModel(h0_diag=np.full(2, scen.omega_f), v_xi=np.ones(1))
+        else:
+            single = build_trace_model(scen, 1.0, controls)
+        states = single.dimension - 1
+        assert model.dimension == 1 + n_y * states
+        omega = discretize_continuum(scen.m_y, n_y)[0]
+        np.testing.assert_array_equal(model.h0_diag[1 : 1 + n_y], omega)
+        copies = [1 + k + n_y * np.arange(states) for k in range(n_y)]
+        for k, copy in enumerate(copies):
+            np.testing.assert_allclose(model.h0_diag[copy],
+                                       single.h0_diag[1:] + (omega[k] - scen.omega_f),
+                                       rtol=0, atol=1e-13)
 
-    def test_cascade_dimensions(self):
-        mz = FlatDensity(level=0.3 / np.pi, support=(-6.0, 6.0))
-        scen = UnstableLevelScenario(m_y=FLAT_Y, omega_f=0.0, m_z=mz,
-                                     z_resonance=0.0)
-        model = build_dynamic(scen, DynamicControls(n_y=100, n_z=50))
-        assert model.dimension == 1 + 100 * 51
-        # one Y mode every 51 states, each followed by its Z chain
-        np.testing.assert_array_equal(model.xi_indices, 1 + 51 * np.arange(100))
+        def couplings(m):
+            return m.w_static, m.drive and m.drive.amplitude
+
+        for mat, ref in zip(couplings(model), couplings(single)):
+            assert (mat is None) == (ref is None)
+            if mat is None:
+                continue
+            rows, cols = mat.nonzero()
+            assert np.all((rows - 1) % n_y == (cols - 1) % n_y), "two copies are linked"
+            for copy in copies:
+                np.testing.assert_array_equal(mat[copy][:, copy].toarray(), ref[1:, 1:].toarray())
+        if model.drive is not None:
+            assert model.drive.frequency == single.drive.frequency == 4.0
+            np.testing.assert_array_equal(np.abs(model.drive.amplitude.data), 0.2)
 
     def test_zero_width_degrades_to_pure_decay(self):
         scen = UnstableLevelScenario(m_y=FLAT_Y, omega_f=0.0, lambda_r=0.0)
@@ -187,17 +225,24 @@ class TestBuildDynamic:
         scen = ScatteringScenario(m_y=FLAT_Y, omega_f=0.0, rate=0.3)
         with pytest.raises(ValueError, match="no explicit environment"):
             build_dynamic(scen)
+        with pytest.raises(ValueError, match="no explicit environment"):
+            build_trace_model(scen, 10.0)
 
     def test_dimension_budget(self):
         scen = UnstableLevelScenario(m_y=FLAT_Y, omega_f=0.0, lambda_r=0.1)
-        with pytest.raises(DimensionOverBudgetError):
+        with pytest.raises(DimensionOverBudgetError,
+                           match="model needs 80401 states, budget is 1000"):
             build_dynamic(scen, DynamicControls(n_y=400, n_z=200, dim_budget=1000))
+        driven = RabiDriveScenario(m_y=FLAT_Y, omega_f=0.2, omega=0.2, omega_21=4.0)
+        with pytest.raises(DimensionOverBudgetError, match="model needs 801 states, budget is 800"):
+            build_dynamic(driven, DynamicControls(n_y=400, dim_budget=800))
+        assert build_dynamic(driven, DynamicControls(n_y=400, dim_budget=801)).dimension == 801
 
     def test_trace_model_uses_single_fiducial_mode(self):
         scen = UnstableLevelScenario(m_y=FLAT_Y, omega_f=0.0, lambda_r=0.1)
         model = build_trace_model(scen, 15.0)
-        assert model.xi_indices.size == 1
-        assert model.h0_diag[model.xi_indices[0]] == 0.0
+        assert model.v_xi.size == 1
+        assert model.h0_diag[1] == 0.0
         # secondary grid: max(requested, recurrence-clearing refinement)
         assert model.dimension == 102
 
@@ -292,21 +337,6 @@ class TestTwoRouteAgreement:
         assert diag.step_error is None
 
 
-# one cascade of each form the memory-kernel route serves
-CASCADES = {
-    "explicit_m_z_off_centre": UnstableLevelScenario(
-        m_y=FLAT_Y, omega_f=0.3,
-        m_z=PowerLawDensity(amplitude=0.05, exponent=2.0, support=(0.0, 4.0)),
-        z_resonance=1.5),
-    "bare_width_with_shift": UnstableLevelScenario(m_y=FLAT_Y, omega_f=0.0, lambda_r=0.3,
-                                                   lambda_i=0.1),
-    "scattering_m_z": ScatteringScenario(
-        m_y=FLAT_Y, omega_f=0.0, m_z=FlatDensity(level=0.3 / np.pi, support=(-6.0, 6.0)),
-        z_resonance=0.0),
-    "zero_width": UnstableLevelScenario(m_y=FLAT_Y, omega_f=0.0, lambda_r=0.0),
-}
-
-
 class TestMemoryKernelRoute:
     SMALL = DynamicControls(n_y=20, n_z=10)
 
@@ -354,14 +384,14 @@ class TestMemoryKernelRoute:
         assert 3.0 < errors[0] / errors[1] < 5.0
 
     def test_full_cascade_is_never_built(self, monkeypatch):
-        build = scenarios._cascade_model
+        build = scenarios._star_model
 
-        def few_modes_only(scenario, y_modes, chain, dim_budget):
+        def few_modes_only(scenario, y_modes, sector, dim_budget):
             # one fiducial mode for D, three for the energy scale
             assert y_modes[0].size <= 3, "the full cascade model was built"
-            return build(scenario, y_modes, chain, dim_budget)
+            return build(scenario, y_modes, sector, dim_budget)
 
-        monkeypatch.setattr(scenarios, "_cascade_model", few_modes_only)
+        monkeypatch.setattr(scenarios, "_star_model", few_modes_only)
         for scen in CASCADES.values():
             scenario_amplitude(scen, 5.0, self.SMALL)
         dynamic_gamma(CASCADES["bare_width_with_shift"], DynamicControls(n_y=60, n_z=40))
