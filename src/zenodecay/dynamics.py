@@ -24,7 +24,11 @@ When every decay mode carries its own copy of one final-state sector, the
 level amplitude obeys the memory-kernel equation
 F'(t) = -int_0^t K(t - s) F(s) ds exactly (Kofman and Kurizki, Nature 405
 (2000) 546); memory_kernel_amplitude solves it on a uniform grid from K
-alone, so the full model is never propagated.
+alone, so the full model is never propagated.  Given K' as well, the same
+solve with Euler-Maclaurin end terms is fourth order; that gives the
+dissipation function of a decay mode whose sector is a chain, again with
+no propagation.  The kernel sums over equally spaced energies are chirp-z
+transforms (_chirp_sums), O(N log N) by FFT, with no BLAS call.
 """
 
 from __future__ import annotations
@@ -696,17 +700,51 @@ def _lower_toeplitz_solve(w, r):
     del solve
 
 
+def _volterra_solve(h, kernel, slope=None):
+    """G at the steps j h of G'(t) = -int_0^t K(t - s) G(s) ds, G(0) = 1.
+
+    kernel[j] is K(j h).  The trapezoid rule on the integrated form
+    G(t) = 1 - int_0^t k1(t - s) G(s) ds, with k1(tau) = int_0^tau K, is
+    second order in h (Brunner, Collocation Methods for Volterra Integral
+    and Related Functional Differential Equations, CUP 2004), and each step
+    is explicit because k1(0) = 0.  Given slope[j] = K'(j h), the
+    Euler-Maclaurin end terms -(h^2/12)(f'(b) - f'(a)) of both
+    quadratures make it fourth order; those of the G integral involve only
+    K, because k1(0) = 0 and G'(0) = 0.  The steps form a lower-triangular
+    Toeplitz system either way.  A step too coarse for the kernel can lift
+    |G| above 1, which raises StepTooLargeError.
+    """
+    n = kernel.size
+    k1 = np.zeros(n, dtype=complex)
+    np.cumsum((0.5 * h) * (kernel[1:] + kernel[:-1]), out=k1[1:])
+    # c G_j + sum_{0 < m < j} h k1_{j-m} G_m = 1 - (h/2) k1_j G_0 + e K_j,
+    # with e = h^2/12 and c = 1 + e K_0 at fourth order, e = 0 and c = 1
+    # at second
+    values = np.empty(n, dtype=complex)
+    values[0] = 1.0
+    if slope is None:
+        values[1:] = 1.0 - (0.5 * h) * k1[1:]
+        _lower_toeplitz_solve(h * k1, values[1:])
+    else:
+        end = h * h / 12.0
+        k1[1:] -= end * (slope[1:] - slope[0])
+        c = 1.0 + end * kernel[0]
+        values[1:] = (1.0 - (0.5 * h) * k1[1:] + end * kernel[1:]) / c
+        _lower_toeplitz_solve((h / c) * k1, values[1:])
+    if np.abs(values).max() > 1.0 + _UNITARITY_TOL:
+        raise StepTooLargeError("the amplitude exceeds 1 in modulus; the step is too coarse "
+                                "for the kernel")
+    return values
+
+
 def memory_kernel_amplitude(times: np.ndarray, kernel: np.ndarray) -> AmplitudeTrace:
     """F(t) of F'(t) = -int_0^t K(t - s) F(s) ds, F(0) = 1, on a uniform grid.
 
     kernel[j] is K(times[j]), and times starts at 0.  The trapezoid rule on
-    the integrated form F(t) = 1 - int_0^t k1(t - s) F(s) ds, with
-    k1(tau) = int_0^tau K, is second order in the spacing h (Brunner,
-    Collocation Methods for Volterra Integral and Related Functional
-    Differential Equations, CUP 2004), and each step is explicit because
-    k1(0) = 0.  The steps form a lower-triangular Toeplitz system, solved
-    in O(N log^2 N) for N samples.  A step too coarse for the kernel can
-    lift |F| above 1, which raises StepTooLargeError.
+    the integrated form (_volterra_solve) is second order in the spacing,
+    and its lower-triangular Toeplitz system is solved in O(N log^2 N) for
+    N samples.  A step too coarse for the kernel can lift |F| above 1,
+    which raises StepTooLargeError.
     """
     times = np.asarray(times, dtype=float)
     kernel = np.asarray(kernel, dtype=complex)
@@ -716,13 +754,44 @@ def memory_kernel_amplitude(times: np.ndarray, kernel: np.ndarray) -> AmplitudeT
     h = times[-1] / (n - 1)
     if not (np.isfinite(h) and h > 0) or np.abs(np.diff(times) - h).max() > 1e-9 * h:
         raise NonUniformGridError("the memory-kernel solver needs a uniform time grid")
-    k1 = np.zeros(n, dtype=complex)
-    np.cumsum((0.5 * h) * (kernel[1:] + kernel[:-1]), out=k1[1:])
-    # F_j = 1 - (h/2) k1_j F_0 - sum_{0 < m < j} h k1_{j-m} F_m
-    values = np.empty(n, dtype=complex)
-    values[0] = 1.0
-    values[1:] = 1.0 - (0.5 * h) * k1[1:]
-    _lower_toeplitz_solve(h * k1, values[1:])
-    if np.abs(values).max() > 1.0 + _UNITARITY_TOL:
-        raise StepTooLargeError("|F| exceeds 1; the step is too coarse for the kernel")
-    return AmplitudeTrace(times=times, values=values)
+    return AmplitudeTrace(times=times, values=_volterra_solve(h, kernel))
+
+
+def _phases(turns, n):
+    """exp(2 pi i turns n) for integer-valued floats n below 2^53.
+
+    turns n can run to millions of turns, where one rounding of the
+    product costs 1e-9 rad.  turns is split into a head short enough that
+    head n is exact, whose whole turns drop out exactly, and a rest whose
+    product is small; so the phase errs by about 1e-15 at any n.
+    """
+    mantissa, exponent = math.frexp(turns)
+    bits = max(0, 53 - int(n.max()).bit_length())
+    head = math.ldexp(math.trunc(math.ldexp(mantissa, bits)), exponent - bits)
+    whole = head * n
+    return np.exp(2j * np.pi * ((whole - np.floor(whole)) + (turns - head) * n))
+
+
+def _chirp_sums(first, spacing, weights, step, n):
+    """S_j = sum_k weights[..., k] exp(-i (first + k spacing) j step), j < n.
+
+    Chirp-z by Bluestein's method (IEEE Trans. Audio Electroacoust. 18
+    (1970) 451): k j = (k^2 + j^2 - (j - k)^2) / 2 turns the sums over an
+    equally spaced set of energies into one FFT convolution with the chirp
+    exp(i theta l^2 / 2), theta = spacing step, over the lags l = j - k.
+    O((n + m) log(n + m)) for m energies, with no BLAS call, so the bits do
+    not depend on the BLAS build or its threads.  The chirp's phases are
+    reduced to whole turns exactly (_phases), so their rounding does not
+    grow with l^2.
+    """
+    weights = np.asarray(weights, dtype=complex)
+    m = weights.shape[-1]
+    if m == 0:
+        return np.zeros(weights.shape[:-1] + (n,), dtype=complex)
+    lags = np.arange(1 - m, n, dtype=float)
+    chirp = _phases(spacing * step / (4.0 * np.pi), lags * lags)
+    size = fft.next_fast_len(n + m - 1)
+    spectrum = fft.fft(weights * np.conj(chirp[m - 1 :: -1]), size) * fft.fft(chirp, size)
+    sums = fft.ifft(spectrum)[..., m - 1 : m - 1 + n]
+    free = _phases(first * step / (2.0 * np.pi), np.arange(n, dtype=float))
+    return sums * np.conj(chirp[m - 1 :] * free)

@@ -19,13 +19,17 @@ with the decay modes at states 1..n_y.
 driven model is propagated whole.  A cascade's F obeys the memory-kernel
 equation F' = -int C D F with no approximation: C(tau) sums the Y
 couplings and D(tau) is the dissipation function of one Y mode in its
-sector, sampled on a model of 2 + n_z states.  Both are taken at every dt
-step, where F is solved, and F is kept on the samples a propagation
-would keep.  The full cascade is never built on that route.
+sector.  That D obeys its own memory-kernel equation, D = exp(i lambda_i
+tau) G with G' = -int K_z G and K_z summing the Z couplings, so no model
+is propagated for it either; ``scenario_trace`` gives a cascade's D the
+same way.  C, K_z and F are taken at every dt step (K_z and G on finer
+sub-steps where the Z band needs them), and F is kept on the samples a
+propagation would keep.  The full cascade is never built on that route.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, replace
 
@@ -34,16 +38,18 @@ from scipy import sparse
 
 from .dynamics import (
     _DEFAULT_DIM_BUDGET,
+    _DRIVE_PHASE_STEP,
     _MIN_FIT_SAMPLES,
     AmplitudeTrace,
     DiscretizedModel,
     DriveTerm,
     FitDiagnostics,
     _check_budget,
+    _chirp_sums,
     _energy_scale,
     _grid_steps,
-    _sampled_dissipation,
     _uniform_grid,
+    _volterra_solve,
     discretize_continuum,
     dissipation_trace,
     fit_decay,
@@ -295,6 +301,18 @@ def _single_mode(scenario):
     return np.array([scenario.omega_f]), np.array([1.0]), None
 
 
+def _z_chain(scenario, n_z: int):
+    """(eps, w_z, spacing): a cascade's Z chain, energies above z_resonance.
+
+    Empty, with spacing 0, for a bare zero width.
+    """
+    if scenario.m_z is None and scenario.width == 0.0:
+        return np.empty(0), np.empty(0), 0.0
+    m_z, z_res = _secondary_density(scenario)
+    zeta, w_z, spacing = discretize_continuum(m_z, n_z)
+    return zeta - z_res, w_z, spacing
+
+
 def _sector(scenario, n_z: int):
     """(offsets, w, drive): the final-state sector every Y mode carries.
 
@@ -308,21 +326,18 @@ def _sector(scenario, n_z: int):
         pair = sparse.csr_matrix([[0.0, scenario.omega], [scenario.omega, 0.0]])
         return np.array([0.0, scenario.omega_21]), None, (pair, scenario.omega_21)
     lambda_i = getattr(scenario, "lambda_i", 0.0)
-    zeta, w_z, z_res = np.empty(0), np.empty(0), 0.0
-    if scenario.m_z is not None or scenario.width != 0.0:
-        m_z, z_res = _secondary_density(scenario)
-        zeta, w_z, _ = discretize_continuum(m_z, n_z)
-    chain = np.arange(1, zeta.size + 1)
+    eps, w_z, _ = _z_chain(scenario, n_z)
+    chain = np.arange(1, eps.size + 1)
     shift = np.zeros(1 if lambda_i else 0, dtype=int)
     w = sparse.csr_matrix(
         (np.concatenate([w_z, w_z, np.full(shift.size, -lambda_i)]).astype(complex),
          (np.concatenate([np.zeros_like(chain), chain, shift]),
           np.concatenate([chain, np.zeros_like(chain), shift]))),
-        shape=(1 + zeta.size, 1 + zeta.size),
+        shape=(1 + eps.size, 1 + eps.size),
     )
     # -lambda_i shifts the dressed mode to omega_k - lambda_i; the Z band
     # recenters there to stay resonant
-    offsets = np.concatenate(([0.0], (zeta - z_res) - lambda_i))
+    offsets = np.concatenate(([0.0], eps - lambda_i))
     return offsets, (w if w.nnz else None), None
 
 
@@ -353,21 +368,34 @@ def _star_model(scenario, y_modes, sector, dim_budget: int) -> DiscretizedModel:
     )
 
 
-def _coupling_correlation(energies, weights, n: int, spacing: float) -> np.ndarray:
-    """C(j spacing) = sum_k weights_k exp(-i energies_k j spacing), j < n.
+def _chain_dissipation(scenario, n_z: int, horizon: float, n_dt: int):
+    """(D at the n_dt + 1 steps j horizon / n_dt, D at every other step or None).
 
-    Summed elementwise over blocks of 256 rows, never as a BLAS product.
-    A row's phases are those of its block's first row times those of its
-    place in the block, so only first rows take exponentials.
+    D(tau) of one Y mode in its cascade sector is exp(i lambda_i tau) G,
+    where G' = -int K_z G exactly, with K_z(tau) = sum_z w_z^2
+    exp(-i eps_z tau) over the Z chain; no model is propagated.  K_z and
+    K_z' are chirp-z sums on sub-steps of at most 0.5 / max |eps_z|, r to a
+    step, and G is solved on them at fourth order and kept on every r-th.
+    The second D is solved again on every other sub-step, so it is None on
+    a grid of under 3 steps and when that doubled step lifts |G| above 1.
     """
-    rows = 256
-    within = np.exp(-1j * np.outer(np.arange(rows) * spacing, energies))
-    out = np.empty(n, dtype=complex)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        first = weights * np.exp(-1j * (start * spacing) * energies)
-        out[start:stop] = (within[: stop - start] * first).sum(axis=1)
-    return out
+    eps, w_z, spacing = _z_chain(scenario, n_z)
+    step = horizon / n_dt
+    sub = max(1, math.ceil(step * np.abs(eps).max(initial=0.0) / _DRIVE_PHASE_STEP))
+    weights = w_z * w_z
+    first = eps[0] if eps.size else 0.0
+    kernel, slope = _chirp_sums(first, spacing, [weights, -1j * eps * weights],
+                                step / sub, n_dt * sub + 1)
+    # exact for lambda_i = 0, where the phase is 1
+    phase = np.exp(1j * getattr(scenario, "lambda_i", 0.0) * _uniform_grid(horizon, n_dt))
+    d_h = phase * _volterra_solve(step / sub, kernel, slope)[::sub]
+    if n_dt < 2:
+        return d_h, None
+    try:
+        g_2h = _volterra_solve(2.0 * step / sub, kernel[::2], slope[::2])
+    except StepTooLargeError:
+        return d_h, None
+    return d_h, phase[::2] * g_2h[::sub]
 
 
 def _cascade_amplitude(scenario, horizon: float, controls: DynamicControls):
@@ -378,7 +406,7 @@ def _cascade_amplitude(scenario, horizon: float, controls: DynamicControls):
     entries sit on the first and last Y modes, and a model of those two and
     the most strongly coupled one has the full model's scale.  F is solved
     on every step of spacing about dt, not only on the samples, and again
-    at twice that step for the error estimate.
+    at twice that step, from D at twice its step, for the error estimate.
     """
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -389,24 +417,23 @@ def _cascade_amplitude(scenario, horizon: float, controls: DynamicControls):
     reduced = _star_model(scenario, (omega[edges], v[edges], dy), sector, controls.dim_budget)
     n_dt, stride = _grid_steps(horizon, controls.dt, _energy_scale(reduced))
     steps = _uniform_grid(horizon, n_dt)
-    single = _star_model(scenario, _single_mode(scenario), sector, controls.dim_budget)
-    d = _sampled_dissipation(single, steps, controls.dim_budget)
-    correlation = _coupling_correlation(omega - scenario.omega_f, v * v, steps.size,
-                                        horizon / n_dt)
-    kernel = correlation * d.values
-    fine = memory_kernel_amplitude(steps, kernel).values
+    d_h, d_2h = _chain_dissipation(scenario, controls.n_z, horizon, n_dt)
+    # C(tau) = sum_k |v_k|^2 exp(-i (omega_k - E0) tau)
+    correlation = _chirp_sums(omega[0] - scenario.omega_f, dy, v * v, horizon / n_dt,
+                              steps.size)
+    fine = memory_kernel_amplitude(steps, correlation * d_h).values
     trace = AmplitudeTrace(times=steps[::stride], values=fine[::stride])
     if steps.size < 3:
         return trace, None
     # both on every (2 thin)-th step, about as many points as the samples
     thin = max(1, stride // 2)
     times, f_h = steps[:: 2 * thin], fine[:: 2 * thin]
-    try:
-        f_2h = memory_kernel_amplitude(steps[::2], kernel[::2]).values[::thin]
-        error = float(np.abs(f_h - f_2h).max()) / 3.0
-    except StepTooLargeError:
-        # the doubled step breaks |F| <= 1, so it bounds nothing
-        f_2h, error = None, math.inf
+    # a doubled step that breaks |D| <= 1 or |F| <= 1 bounds nothing
+    f_2h, error = None, math.inf
+    if d_2h is not None:
+        with contextlib.suppress(StepTooLargeError):
+            f_2h = memory_kernel_amplitude(steps[::2], correlation[::2] * d_2h).values[::thin]
+            error = float(np.abs(f_h - f_2h).max()) / 3.0
     if error > _STEP_ERROR_LIMIT:
         trace = replace(trace, warnings=(f"{STEP_ERROR_WARNING}={error:.3g}",))
     return trace, (times, f_h, f_2h)
@@ -465,12 +492,17 @@ def build_trace_model(
     """
     controls = controls or DynamicControls()
     _check_simulable(scenario)
-    n_z = controls.n_z
-    if not isinstance(scenario, RabiDriveScenario):
-        m_z, _ = _secondary_density(scenario)
-        n_z = max(n_z, int(np.ceil(m_z.width * 2.5 * horizon / (2.0 * math.pi))))
-    return _star_model(scenario, _single_mode(scenario), _sector(scenario, n_z),
+    return _star_model(scenario, _single_mode(scenario),
+                       _sector(scenario, _trace_n_z(scenario, horizon, controls.n_z)),
                        controls.dim_budget)
+
+
+def _trace_n_z(scenario, horizon: float, n_z: int) -> int:
+    """n_z, refined for a cascade until the Z recurrence clears 2.5 horizons."""
+    if isinstance(scenario, RabiDriveScenario):
+        return n_z
+    m_z, _ = _secondary_density(scenario)
+    return max(n_z, int(np.ceil(m_z.width * 2.5 * horizon / (2.0 * math.pi))))
 
 
 def scenario_trace(
@@ -493,7 +525,22 @@ def scenario_trace(
         steps = max(64, int(np.ceil(horizon / dt)))
         return _synthesize_exponential(scenario.rate, dt, steps, scenario.label)
     model = build_trace_model(scenario, horizon, controls)
-    return dissipation_trace(model, horizon, controls.dt, dim_budget=controls.dim_budget)
+    if isinstance(scenario, RabiDriveScenario):
+        return dissipation_trace(model, horizon, controls.dt, dim_budget=controls.dim_budget)
+    # the samples dissipation_trace would take of the model
+    uncoupled = replace(model, v_xi=np.zeros_like(model.v_xi))
+    n_dt, stride = _grid_steps(horizon, controls.dt, _energy_scale(uncoupled))
+    d_h, d_2h = _chain_dissipation(scenario, _trace_n_z(scenario, horizon, controls.n_z),
+                                   horizon, n_dt)
+    flags = ()
+    if n_dt >= 2:
+        # fourth order: the gap is about 15 times the error of D at step h;
+        # a doubled step that breaks |D| <= 1 bounds nothing
+        error = math.inf if d_2h is None else float(np.abs(d_h[::2] - d_2h).max()) / 15.0
+        if error > _STEP_ERROR_LIMIT:
+            flags = (f"{STEP_ERROR_WARNING}={error:.3g}",)
+    return DissipationTrace(times=_uniform_grid(horizon, n_dt, stride), values=d_h[::stride],
+                            label=scenario.label, warnings=flags)
 
 
 def _recurrence_time(scenario, controls: DynamicControls) -> float:

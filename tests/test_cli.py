@@ -878,6 +878,18 @@ class TestMain:
         assert captured.err.startswith("warning: step_error=")
         assert len(parse_csv(captured.out)[1]) == 68
 
+    def test_trace_cascade_dissipation_warns_of_a_coarse_step(self, tmp_path, capsys):
+        # a Z band half as wide as its coupling is strong outruns a step of 0.5
+        scenario = {"kind": "unstable", "m_y": dict(FLAT_Y), "omega_f": 0.0,
+                    "m_z": {"kind": "flat", "level": 0.5, "support": [-0.5, 0.5]},
+                    "z_resonance": 0.0}
+        cfg = write_config(tmp_path, rabi_config(scenario=scenario, sweep=None,
+                                                 dynamic={"n_z": 50, "dt": 0.5}))
+        assert main(["trace", cfg, "--quantity", "D", "--horizon", "20"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("warning: step_error=")
+        assert len(parse_csv(captured.out)[1]) == 41
+
     def test_trace_cascade_amplitude_on_two_samples(self, tmp_path, capsys):
         # a horizon under 1.5 dt is one step: no check, and the trace prints
         scenario = {"kind": "unstable", "m_y": dict(FLAT_Y), "omega_f": 0.0,

@@ -612,3 +612,53 @@ class TestMemoryKernelSolver:
             memory_kernel_amplitude(np.array([1.0, 2.0, 3.0]), np.ones(3))
         with pytest.raises(ValueError, match="matching"):
             memory_kernel_amplitude(np.array([0.0, 1.0, 2.0]), np.ones(2))
+
+    def test_end_terms_make_the_solve_fourth_order(self):
+        # with K' the Euler-Maclaurin end terms lift the same solve from
+        # second to fourth order
+        lam, kappa = 0.5, 0.3 + 0.8j
+        errors = []
+        for n in (250, 500, 1000):
+            t = np.linspace(0.0, 20.0, n + 1)
+            kernel = lam**2 * np.exp(-kappa * t)
+            values = dynamics._volterra_solve(t[1], kernel, -kappa * kernel)
+            errors.append(np.abs(values - self.exponential_kernel_amplitude(t, lam, kappa)).max())
+        assert errors[-1] < 1e-9
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 12.0 < coarse / fine < 20.0
+
+
+class TestChirpSums:
+    @staticmethod
+    def direct(first, spacing, weights, step, n):
+        energies = first + spacing * np.arange(weights.size)
+        out = np.empty(n, dtype=complex)
+        for start in range(0, n, 4096):
+            j = np.arange(start, min(n, start + 4096))
+            out[j] = (np.exp(-1j * np.outer(j * step, energies)) * weights).sum(axis=1)
+        return out
+
+    @pytest.mark.parametrize("m, first, spacing, step, n", [
+        (1, 0.7, 0.3, 0.01, 1000),
+        (2, -1.2, 0.5, 0.02, 1000),
+        # the decay grid of the longest memory-kernel solve in the suite,
+        # test_long_horizon_keeps_the_step: 20 Y modes over a band 10 wide,
+        # 105,768 steps to t = 300, where theta l^2 / 2 reaches 5.6e6 rad
+        (20, -5.05, 0.5, 300.0 / 105_768, 105_769),
+    ])
+    def test_matches_the_direct_sum(self, m, first, spacing, step, n):
+        weights = np.random.default_rng(m).uniform(0.1, 1.0, m)
+        got = dynamics._chirp_sums(first, spacing, weights, step, n)
+        expected = self.direct(first, spacing, weights, step, n)
+        assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
+
+    def test_rows_of_weights_are_summed_alike(self):
+        weights = np.array([[0.2, 0.5, 0.1], [1.0, -2.0j, 0.3]])
+        both = dynamics._chirp_sums(-0.4, 0.25, weights, 0.1, 50)
+        for row, w in zip(both, weights):
+            np.testing.assert_allclose(row, dynamics._chirp_sums(-0.4, 0.25, w, 0.1, 50),
+                                       rtol=0, atol=1e-15)
+
+    def test_no_energies_sum_to_zero(self):
+        sums = dynamics._chirp_sums(0.0, 0.0, np.empty((2, 0)), 0.1, 5)
+        np.testing.assert_array_equal(sums, np.zeros((2, 5)))

@@ -7,11 +7,14 @@ import pytest
 from zenodecay import scenarios
 from zenodecay.dynamics import (
     DiscretizedModel,
+    _sampled_dissipation,
+    _uniform_grid,
     discretize_continuum,
+    dissipation_trace,
     fit_decay,
     survival_amplitude,
 )
-from zenodecay.errors import DimensionOverBudgetError, NonUniformGridError
+from zenodecay.errors import DimensionOverBudgetError, NonUniformGridError, StepTooLargeError
 from zenodecay.scenarios import (
     LEVEL_OFF_SUPPORT,
     STEP_ERROR_WARNING,
@@ -447,3 +450,87 @@ class TestMemoryKernelRoute:
         trace, (_, _, f_2h) = scenario_amplitude(scen, 10.0, replace(self.SMALL, dt=4.0))
         assert f_2h is None
         assert trace.warnings == (f"{STEP_ERROR_WARNING}=inf",)
+
+
+class TestDissipationByKernel:
+    """D(tau) of one Y mode in its cascade sector, from its own memory kernel."""
+
+    # the explicit band the benchmark's cascade gives its bare width 0.3
+    BENCH_BAND = UnstableLevelScenario(
+        m_y=FLAT_Y, omega_f=0.0, m_z=FlatDensity(level=0.3 / np.pi, support=(-12.0, 12.0)),
+        z_resonance=0.0)
+    # a band half as wide as its coupling is strong: the band sets the
+    # sub-step, so the coupling outruns coarse steps
+    NARROW = UnstableLevelScenario(
+        m_y=FLAT_Y, omega_f=0.0, m_z=FlatDensity(level=0.5, support=(-0.5, 0.5)),
+        z_resonance=0.0)
+
+    @staticmethod
+    def propagated(scen, n_z, horizon, n_dt):
+        single = scenarios._star_model(scen, scenarios._single_mode(scen),
+                                       scenarios._sector(scen, n_z), 10**4)
+        return _sampled_dissipation(single, _uniform_grid(horizon, n_dt), 10**4).values
+
+    @pytest.mark.parametrize("name", sorted(CASCADES))
+    def test_equals_propagated_on_every_step(self, name):
+        scen = CASCADES[name]
+        d_h, d_2h = scenarios._chain_dissipation(scen, 10, 10.0, 2000)
+        assert np.abs(d_h - self.propagated(scen, 10, 10.0, 2000)).max() <= 1e-9
+        assert d_2h.size == 1001
+
+    @pytest.mark.parametrize("n_z, horizon", [(80, 31.0), (1500, 30.0)])
+    def test_equals_propagated_on_the_benchmark_sectors(self, n_z, horizon):
+        # the sweep row's and the chain's sectors, at their dt 0.002
+        n_dt = round(horizon / 0.002)
+        d_h, _ = scenarios._chain_dissipation(self.BENCH_BAND, n_z, horizon, n_dt)
+        assert np.abs(d_h - self.propagated(self.BENCH_BAND, n_z, horizon, n_dt)).max() <= 1e-9
+
+    def test_error_is_fourth_order_in_the_step(self):
+        scen = CASCADES["explicit_m_z_off_centre"]
+        errors = [np.abs(scenarios._chain_dissipation(scen, 10, 10.0, n_dt)[0]
+                         - self.propagated(scen, 10, 10.0, n_dt)).max() for n_dt in (100, 200)]
+        assert 12.0 <= errors[0] / errors[1] <= 20.0
+
+    def test_coarse_step_takes_sub_steps(self):
+        # a step of 5 against Z energies up to 2.3 from the resonance: D is
+        # solved on 23 sub-steps a step (1.7e-5 off) and stays unitary
+        scen = CASCADES["explicit_m_z_off_centre"]
+        d_h, d_2h = scenarios._chain_dissipation(scen, 10, 10.0, 2)
+        assert np.abs(d_h - self.propagated(scen, 10, 10.0, 2)).max() <= 1e-4
+        assert d_2h.size == 2
+
+    @pytest.mark.parametrize("dt", [None, 0.002])
+    @pytest.mark.parametrize("name", sorted(set(CASCADES) - {"zero_width"}))
+    def test_trace_equals_propagated_trace(self, name, dt):
+        # at dt 0.002 the 5000 steps are sampled every other one
+        scen = CASCADES[name]
+        controls = DynamicControls(n_z=10, dt=dt)
+        trace = scenario_trace(scen, 10.0, controls)
+        full = dissipation_trace(build_trace_model(scen, 10.0, controls), 10.0, dt)
+        np.testing.assert_array_equal(trace.times, full.times)
+        assert np.abs(trace.values - full.values).max() <= 1e-9
+        assert trace.warnings == ()
+
+    @pytest.mark.parametrize("dt", [0.5, 1.0])
+    def test_step_error_estimates_the_true_error(self, dt):
+        controls = DynamicControls(n_z=40, dt=dt)
+        trace = scenario_trace(self.NARROW, 20.0, controls)
+        full = dissipation_trace(build_trace_model(self.NARROW, 20.0, controls), 20.0, dt)
+        true_error = np.abs(trace.values - full.values).max()
+        assert true_error > 1e-4
+        (flag,) = trace.warnings
+        name, value = flag.split("=")
+        assert name == STEP_ERROR_WARNING
+        assert 0.5 * true_error <= float(value) <= 2.0 * true_error
+
+    def test_doubled_step_beyond_unitarity_is_flagged(self):
+        # K_0 = 4 on a band 1 wide: the band asks no sub-steps of a step of
+        # 1, and |G| stays below 1 there but not at a step of 2
+        scen = UnstableLevelScenario(m_y=FLAT_Y, omega_f=0.0, z_resonance=0.0,
+                                     m_z=FlatDensity(level=4.0, support=(-0.5, 0.5)))
+        with pytest.raises(StepTooLargeError):
+            scenarios._volterra_solve(2.0, np.full(3, 4.0 + 0j), np.zeros(3))
+        d_h, d_2h = scenarios._chain_dissipation(scen, 40, 10.0, 10)
+        assert d_2h is None
+        assert scenario_trace(scen, 10.0, DynamicControls(n_z=40, dt=1.0)).warnings == (
+            f"{STEP_ERROR_WARNING}=inf",)
