@@ -13,12 +13,13 @@ Every model is evolved by a truncated Taylor series of the matrix
 exponential (Al-Mohy and Higham, SIAM J. Sci. Comput. 33 (2011) 488)
 over a uniform sample grid; a driven model takes 4th-order
 commutator-free Magnus steps (CF4:2), each two such exponentials.  Each
-power of the series is one sparse product written into its row of the
-Taylor basis; a driven model keeps H_s/2 and the drive amplitude on one
-sparsity pattern, so the matrix of an exponential is one data array.  The
-propagator hands its samples over in blocks of rows, so
-survival_amplitude and dissipation_trace keep one reduced value per
-sample and never the full state matrix; propagate stacks the blocks.
+exponential is evaluated by Horner's rule in two vectors, one sparse
+product added into a scaled copy of the state per power, with no dense
+product and no BLAS call; a driven model keeps H_s/2 and the drive
+amplitude on one sparsity pattern, so the matrix of an exponential is one
+data array.  The propagator hands its samples over one state at a time,
+so survival_amplitude and dissipation_trace keep one reduced value per
+sample and never the full state matrix; propagate stacks the states.
 
 When every decay mode carries its own copy of one final-state sector, the
 level amplitude obeys the memory-kernel equation
@@ -328,36 +329,15 @@ _TAYLOR_THETA = {
 }
 
 
-def _taylor_plan(x, intervals):
-    """Degree m, samples per block q and substeps per sample s.
+def _taylor_plan(x):
+    """Degree m and substeps s of the Taylor series for ||A||_1 t = x.
 
-    x is ||A||_1 times the sample spacing.  One Taylor expansion of degree
-    m covers q samples while q x <= theta_m; past theta_m it covers a
-    substep, and s = ceil(x / theta_m) substeps make one sample.  A block
-    holds at most m + 1 states, so it never outgrows its Taylor basis in
-    memory.  The plan
-    with the fewest sparse products per sample wins, ties going to the
-    lower degree: the dense product that forms the states costs about a
-    tenth as much per multiply-add (measured at dimension 9721).
+    s = ceil(x / theta_m) substeps keep each expansion within theta_m; the
+    plan with the fewest sparse products m s wins, ties going to the lower
+    degree.
     """
-    best = None
-    for m, theta in _TAYLOR_THETA.items():
-        if x <= theta:
-            q = int(min(theta // x if x > 0 else intervals, intervals, m + 1))
-            s = 1
-        else:
-            q, s = 1, math.ceil(x / theta)
-        cost = s * m / q
-        if best is None or cost < best[0]:
-            best = (cost, m, q, s)
-    return best[1:]
-
-
-def _matvec(indptr, indices, data, x, out):
-    """out = A x for the square CSR matrix A = (data, indices, indptr)."""
-    out.fill(0)
-    # csr_matvec adds A x to out
-    csr_matvec(out.size, out.size, indptr, indices, data, x, out)
+    return min(((m, max(1, math.ceil(x / theta))) for m, theta in _TAYLOR_THETA.items()),
+               key=lambda plan: plan[0] * plan[1])
 
 
 def _shared_pattern(a, b):
@@ -373,20 +353,22 @@ def _shared_pattern(a, b):
     return on_a.indptr, on_a.indices, on_a.data, on_b.data
 
 
-def _taylor_blocks(static, drive, psi0, times, t_offset=0.0):
-    """exp(-i H t_j) psi0 on the uniform grid times, in blocks of rows.
+def _taylor_states(static, drive, psi0, times, t_offset=0.0):
+    """exp(-i H t_j) psi0 on the uniform grid times, one state per sample.
 
     Truncated Taylor series (Al-Mohy and Higham 2011) of the generator
     shifted by its mean diagonal, whose exponential is an exact scalar
-    phase.  A static block expands once about its first state: the powers
-    B^p psi of the block's step B, weighted by (k/q)^p / p!, give its k-th
-    state, so one matrix product forms all q states.  A driven sample
-    takes ceil(omega_d spacing / 0.5) CF4:2 steps, each two exponentials
-    of H_s/2 + c X with c drawn from the drive at the step's Gauss points
-    (Blanes and Moan, Appl. Numer. Math. 56 (2006) 1519); H_s/2 and X
-    share one sparsity pattern, so each exponential first writes the data
-    of H_s/2 + c X into one buffer, and every sample is its own block.
-    Each power is one sparse product written into its row of the basis.
+    phase.  A static sample is one exponential of the sample spacing; a
+    driven sample takes ceil(omega_d spacing / 0.5) CF4:2 steps, each two
+    exponentials of H_s/2 + c X with c drawn from the drive at the step's
+    Gauss points (Blanes and Moan, Appl. Numer. Math. 56 (2006) 1519).
+    H_s/2 and X share one sparsity pattern, so each driven exponential
+    first writes the data of H_s/2 + c X into one buffer.  Every
+    exponential, taken in s substeps, applies the degree-m series of
+    exp(B) by Horner's rule in two vectors: from v_m = psi,
+    v_{p-1} = (m!/(p-1)!) psi + B v_p, and exp(B) psi = v_0 / m!, so each
+    power is one sparse product added into a scaled copy of psi.  The
+    yielded states are fresh arrays.
     """
     n = psi0.size
     horizon = times[-1]
@@ -396,40 +378,36 @@ def _taylor_blocks(static, drive, psi0, times, t_offset=0.0):
     generator = (-1j * np.sign(horizon)) * (static - shift * sparse.identity(n, format="csr"))
     spacing = abs(horizon) / (times.size - 1)
     norm = float(abs(generator).sum(axis=0).max())
-    steps, intervals = 1, times.size - 1
+    steps = 1
     if drive is not None:
         steps = max(1, math.ceil(drive.frequency * spacing / _DRIVE_PHASE_STEP))
-        intervals = 1
         amplitude = (-1j * np.sign(horizon)) * drive.amplitude
         # |c| <= a + |b| = 1/sqrt(3)
         norm = 0.5 * norm + float(abs(amplitude).sum(axis=0).max()) / math.sqrt(3.0)
     h = spacing / steps
-    m, q, s = _taylor_plan(norm * h, intervals)
-    orders = np.arange(m + 1)
-    weights = (np.arange(1, q + 1) / q)[:, None] ** orders
-    weights /= np.cumprod(np.maximum(orders, 1.0))
-    powers = np.empty((m + 1, n), dtype=complex)
-
-    def expand(indptr, indices, data, psi, rows):
-        for _ in range(s):
-            powers[0] = psi
-            for p in range(1, m + 1):
-                _matvec(indptr, indices, data, powers[p - 1], powers[p])
-            block = weights[:rows] @ powers
-            psi = block[-1]
-        return block
-
+    m, s = _taylor_plan(norm * h)
+    # m!/(p-1)! for p = m .. 1, the last m!
+    scales = np.cumprod(np.arange(m, 0, -1, dtype=float))
     psi = np.array(psi0, dtype=complex, copy=True)
-    yield psi[None, :]
+    buffers = np.empty((2, n), dtype=complex)
+
+    def expand(indptr, indices, data):
+        for _ in range(s):
+            v, w = buffers
+            np.copyto(v, psi)
+            for scale in scales:
+                np.multiply(psi, scale, out=w)
+                # csr_matvec adds B v to w
+                csr_matvec(n, n, indptr, indices, data, v, w)
+                v, w = w, v
+            np.divide(v, scales[-1], out=psi)
+
+    yield psi.copy()
     if drive is None:
-        step = (h * q / s) * generator
-        j = 1
-        while j < times.size:
-            rows = min(q, times.size - j)
-            block = expand(step.indptr, step.indices, step.data, psi, rows)
-            psi = block[-1]
-            yield block * np.exp(-1j * shift * times[j : j + rows])[:, None]
-            j += rows
+        step = (h / s) * generator
+        for t in times[1:]:
+            expand(step.indptr, step.indices, step.data)
+            yield psi * np.exp(-1j * shift * t)
         return
     # H_s/2 and the drive amplitude, both over one substep
     indptr, indices, h_data, x_data = _shared_pattern(
@@ -445,24 +423,25 @@ def _taylor_blocks(static, drive, psi0, times, t_offset=0.0):
             for c in (a * c1 + b * c2, b * c1 + a * c2):
                 np.multiply(x_data, c, out=data)
                 np.add(data, h_data, out=data)
-                psi = expand(indptr, indices, data, psi, 1)[0]
-        yield psi[None, :] * np.exp(-1j * shift * times[j])
+                expand(indptr, indices, data)
+        yield psi * np.exp(-1j * shift * times[j])
 
 
 def _evolve(static, drive, psi0, times, t_offset=0.0):
-    """The sampled states in consecutive row blocks, the first row psi0.
+    """The sampled states, the first psi0.
 
-    A block whose norm drifted beyond 1e-6 of psi0's raises
+    A state whose norm drifted beyond 1e-6 of psi0's raises
     StepTooLargeError.
     """
-    norm0 = np.linalg.norm(psi0)
-    for block in _taylor_blocks(static, drive, psi0, times, t_offset):
-        drift = float(np.abs(np.linalg.norm(block, axis=1) - norm0).max())
+    # along an axis, norm sums by ufunc rather than by a BLAS dot
+    norm0 = float(np.linalg.norm(psi0, axis=0))
+    for state in _taylor_states(static, drive, psi0, times, t_offset):
+        drift = abs(float(np.linalg.norm(state, axis=0)) - norm0)
         if drift > _NORM_DRIFT_LIMIT * max(norm0, 1e-300):
             raise StepTooLargeError(
                 f"norm drifted by {drift:.3e}; a Taylor step outran its series"
             )
-        yield block
+        yield state
 
 
 def _check_budget(n: int, dim_budget: int) -> None:
@@ -470,10 +449,10 @@ def _check_budget(n: int, dim_budget: int) -> None:
         raise DimensionOverBudgetError(f"model needs {n} states, budget is {dim_budget}")
 
 
-def _sampled_blocks(model, times, dim_budget, initial_state=None, t_offset=0.0):
-    """Lazy blocks of the states sampled at times, of every propagation.
+def _sampled_states(model, times, dim_budget, initial_state=None, t_offset=0.0):
+    """Lazy states sampled at times, of every propagation.
 
-    The blocks are a generator, so a caller can check the times before any
+    The states are a generator, so a caller can check the times before any
     state is propagated.  t_offset shifts the drive's clock.
     """
     n = model.dimension
@@ -499,13 +478,13 @@ def propagate(
     """Integrate the Schroedinger equation from t = 0 to t = horizon.
 
     Static models are evolved by a truncated Taylor series of the matrix
-    exponential (Al-Mohy and Higham 2011), expanded once per block of
-    samples and substepped where one sample spacing is too long for a
-    degree-55 series.  Driven models take CF4:2 commutator-free Magnus
-    steps (Blanes and Moan 2006), each two such exponentials of
-    H_s/2 + c X with c read from the drive at the step's Gauss points, and
-    as many steps per sample as keep the drive phase of a step at or below
-    0.5.  Every Taylor power is one sparse product.  dt defaults to
+    exponential (Al-Mohy and Higham 2011), one expansion per sample,
+    substepped where one sample spacing is too long for a degree-55
+    series.  Driven models take CF4:2 commutator-free Magnus steps (Blanes
+    and Moan 2006), each two such exponentials of H_s/2 + c X with c read
+    from the drive at the step's Gauss points, and as many steps per sample
+    as keep the drive phase of a step at or below 0.5.  Each exponential is
+    a Horner sum in two vectors, one sparse product per power.  dt defaults to
     0.02 over the largest energy scale and sets only the sample grid: every
     stride-th point of a grid of spacing dt, the stride max(1, steps // 2000)
     for a grid of that many steps.  A negative horizon (with negative dt)
@@ -514,12 +493,10 @@ def propagate(
     keeps only the initial level's amplitude.
     """
     times = _time_grid(horizon, dt, _energy_scale(model))
-    blocks = _sampled_blocks(model, times, dim_budget, initial_state)
+    sampled = _sampled_states(model, times, dim_budget, initial_state)
     states = np.empty((times.size, model.dimension), dtype=complex)
-    row = 0
-    for block in blocks:
-        states[row : row + block.shape[0]] = block
-        row += block.shape[0]
+    for row, state in enumerate(sampled):
+        states[row] = state
     return Trajectory(times=times, states=states)
 
 
@@ -535,13 +512,12 @@ def survival_amplitude(
     Propagates as propagate does, from the initial level, on the same
     sample grid and to the same bits as
     no_decay_amplitude(propagate(...), E0), but keeps only the first
-    component of each block of states.  Memory therefore grows with the
-    number of samples or with the dimension, never with their product.
+    component of each state.  Memory therefore grows with the number of
+    samples or with the dimension, never with their product.
     """
     times = _time_grid(horizon, dt, _energy_scale(model))
-    blocks = _sampled_blocks(model, times, dim_budget)
-    # a copy, so that no block outlives its turn
-    column = np.concatenate([block[:, 0].copy() for block in blocks])
+    states = _sampled_states(model, times, dim_budget)
+    column = np.fromiter((state[0] for state in states), complex, times.size)
     values = column * np.exp(1j * model.h0_diag[0] * times)
     return AmplitudeTrace(times=times, values=values)
 
@@ -638,10 +614,10 @@ def _sampled_dissipation(model, times, dim_budget) -> DissipationTrace:
     uncoupled = replace(model, v_xi=np.zeros_like(model.v_xi))
     bra = np.conj(phi)
 
-    def overlap(blocks):
-        return np.concatenate([block @ bra for block in blocks])
+    def overlap(states):
+        return np.fromiter((state @ bra for state in states), complex, times.size)
 
-    blocks = _sampled_blocks(uncoupled, times, dim_budget, phi)
+    states = _sampled_states(uncoupled, times, dim_budget, phi)
     weights = np.abs(phi[xi]) ** 2
     energies = model.h0_diag[xi]
     denominator = np.exp(-1j * np.outer(times, energies)) @ weights
@@ -649,11 +625,11 @@ def _sampled_dissipation(model, times, dim_budget) -> DissipationTrace:
         raise VanishingDenominatorError(
             "free-evolution overlap passes through zero on the sample grid"
         )
-    values = overlap(blocks) / denominator
+    values = overlap(states) / denominator
     flags = []
     if model.drive is not None and model.drive.frequency > 0:
         period = 2.0 * np.pi / model.drive.frequency
-        shifted = _sampled_blocks(uncoupled, times, dim_budget, phi, 0.25 * period)
+        shifted = _sampled_states(uncoupled, times, dim_budget, phi, 0.25 * period)
         micromotion = float(np.abs(overlap(shifted) / denominator - values).max())
         if micromotion > 0.01:
             flags.append(f"{MICROMOTION_WARNING}={micromotion:.3g}")

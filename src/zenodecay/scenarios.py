@@ -59,7 +59,7 @@ from .dynamics import (
 # unused here since dynamic_gamma keeps only the survival amplitude;
 # perfbench/test_gate.py still checks that scenarios.propagate is patched
 from .dynamics import propagate  # noqa: F401
-from .errors import NonUniformGridError, StepTooLargeError
+from .errors import DimensionOverBudgetError, NonUniformGridError, StepTooLargeError
 from .rates import DecayRateResult, perturbed_gamma
 from .spectral import (
     DiracKernel,
@@ -92,6 +92,10 @@ STEP_ERROR_WARNING = "step_error"
 
 # relative step error of a memory-kernel gamma above which the row is flagged
 _STEP_ERROR_LIMIT = 1e-4
+
+# steps of a memory-kernel solve, D's sub-steps included, at most: a solve
+# peaks at about 160 bytes a step, so this bounds it near 0.65 GB
+_MAX_KERNEL_STEPS = 4_000_000
 
 # flat stand-in band for a bare width: wide enough that the truncation
 # shifts the realized width by under 2% (checked against the closed form)
@@ -378,10 +382,15 @@ def _chain_dissipation(scenario, n_z: int, horizon: float, n_dt: int):
     step, and G is solved on them at fourth order and kept on every r-th.
     The second D is solved again on every other sub-step, so it is None on
     a grid of under 3 steps and when that doubled step lifts |G| above 1.
+    More than _MAX_KERNEL_STEPS sub-steps raise DimensionOverBudgetError
+    before anything the grid's length sizes is allocated.
     """
     eps, w_z, spacing = _z_chain(scenario, n_z)
     step = horizon / n_dt
     sub = max(1, math.ceil(step * np.abs(eps).max(initial=0.0) / _DRIVE_PHASE_STEP))
+    if n_dt * sub + 1 > _MAX_KERNEL_STEPS:
+        raise DimensionOverBudgetError(f"memory-kernel solve needs {n_dt * sub + 1} steps, "
+                                       f"at most {_MAX_KERNEL_STEPS}")
     weights = w_z * w_z
     first = eps[0] if eps.size else 0.0
     kernel, slope = _chirp_sums(first, spacing, [weights, -1j * eps * weights],
@@ -416,8 +425,9 @@ def _cascade_amplitude(scenario, horizon: float, controls: DynamicControls):
     edges = np.unique([0, omega.size - 1, np.abs(v).argmax()])
     reduced = _star_model(scenario, (omega[edges], v[edges], dy), sector, controls.dim_budget)
     n_dt, stride = _grid_steps(horizon, controls.dt, _energy_scale(reduced))
-    steps = _uniform_grid(horizon, n_dt)
+    # first, as it refuses a grid too long for memory
     d_h, d_2h = _chain_dissipation(scenario, controls.n_z, horizon, n_dt)
+    steps = _uniform_grid(horizon, n_dt)
     # C(tau) = sum_k |v_k|^2 exp(-i (omega_k - E0) tau)
     correlation = _chirp_sums(omega[0] - scenario.omega_f, dy, v * v, horizon / n_dt,
                               steps.size)

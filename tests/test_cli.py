@@ -7,6 +7,7 @@ import logging
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -889,6 +890,25 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.err.startswith("warning: step_error=")
         assert len(parse_csv(captured.out)[1]) == 41
+
+    @pytest.mark.parametrize("quantity", ["F", "D"])
+    def test_trace_refuses_a_memory_kernel_grid_too_long_for_memory(self, tmp_path, capsys,
+                                                                     quantity):
+        # dt 1e-9 to horizon 30 is 3e10 steps, some 5 TB at 160 bytes a step
+        scenario = {"kind": "unstable", "m_y": dict(FLAT_Y), "omega_f": 0.05,
+                    "m_z": {"kind": "flat", "level": 0.1, "support": [-12.0, 12.0]},
+                    "z_resonance": 0.0}
+        cfg = write_config(tmp_path, rabi_config(scenario=scenario, sweep=None,
+                                                 dynamic={"n_y": 120, "n_z": 80, "dt": 1e-9}))
+        tracemalloc.start()
+        try:
+            code = main(["trace", cfg, "--quantity", quantity, "--horizon", "30"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: memory-kernel solve needs ")
+        assert peak < 10 * 2**20
 
     def test_trace_cascade_amplitude_on_two_samples(self, tmp_path, capsys):
         # a horizon under 1.5 dt is one step: no check, and the trace prints

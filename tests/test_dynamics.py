@@ -253,9 +253,11 @@ class TestPropagation:
         fine = self.driven_error(monkeypatch, 0.125)
         assert fine * 8.0 < coarse
 
-    # the second case has no slack in theta_m: the 1-norm of a two-level
-    # generator is its spectral radius, and blocks twice as long err by 1e-4
-    @pytest.mark.parametrize("coupling, horizon, dt", [(0.3, 5.0, 0.1), (1.0, 40.0, 0.5)])
+    # the 1-norm of a two-level generator is its spectral radius, so theta_m
+    # has no slack here; the last sample spacing is theta_30, and a series
+    # trusted 1.5 times as far as theta_m errs by 4e-12 there
+    @pytest.mark.parametrize("coupling, horizon, dt",
+                             [(0.3, 5.0, 0.1), (1.0, 40.0, 0.5), (1.0, 35.4, 3.54)])
     def test_static_dt_sets_only_the_sample_grid(self, coupling, horizon, dt):
         traj = propagate(two_level(coupling=coupling, energy=10.0), horizon, dt)
         t = traj.times
@@ -294,21 +296,54 @@ class TestTaylorPropagator:
         return psi0
 
     # theta_55 = 9.9, so x up to 1e3 takes up to about 100 substeps
-    @given(x=st.floats(0.0, 1e3), intervals=st.integers(1, 100_000))
-    @example(x=0.0, intervals=1).via("no motion")
-    @example(x=9.9, intervals=7).via("theta_55 itself")
-    @example(x=500.0, intervals=7).via("far past theta_55")
-    def test_taylor_plan_invariants(self, x, intervals):
-        m, q, s = dynamics._taylor_plan(x, intervals)
-        theta = dynamics._TAYLOR_THETA[m]
-        assert q <= m + 1 and q <= intervals
-        if s == 1:
-            assert q * x <= theta
-        else:
-            assert q == 1 and s * theta >= x
+    @given(x=st.floats(0.0, 1e3))
+    @example(x=0.0).via("no motion")
+    @example(x=9.9).via("theta_55 itself")
+    @example(x=500.0).via("far past theta_55")
+    def test_taylor_plan_invariants(self, x):
+        m, s = dynamics._taylor_plan(x)
+        assert s >= 1 and s * dynamics._TAYLOR_THETA[m] >= x
+        # the fewest sparse products of any degree whose substeps cover x
+        fewest = min(
+            degree * substeps
+            for degree, theta in dynamics._TAYLOR_THETA.items()
+            for substeps in range(1, 1200)
+            if substeps * theta >= x
+        )
+        assert m * s == fewest
 
-    # at |dt| = 0.5 the block length, not the basis size, is what theta_m
-    # bounds; at dt = 20 one sample spacing is past theta_55
+    @given(m=st.sampled_from([1, 8, 30, 55]), n=st.integers(1, 40),
+           density=st.floats(0.05, 1.0), fraction=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    @example(m=55, n=40, density=1.0, fraction=1.0, seed=0).via("55! ~ 1e73 at theta_55")
+    def test_horner_sum_equals_the_taylor_sum(self, m, n, density, fraction, seed):
+        # one exponential of degree m of a generator B with ||B||_1 up to
+        # theta_m, the most a degree-m series is handed; the scales
+        # m!/(p-1)! must neither overflow nor cost accuracy
+        rng = np.random.default_rng(seed)
+        mask = rng.random((n, n)) < density
+        b = np.where(mask, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 0.0)
+        # no diagonal, so the mean-diagonal shift is 0 and the generator
+        # -i static over a unit step is B itself
+        np.fill_diagonal(b, 0.0)
+        if b.any():
+            b *= fraction * dynamics._TAYLOR_THETA[m] / np.abs(b).sum(axis=0).max()
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "_taylor_plan", lambda x: (m, 1))
+            states = list(dynamics._taylor_states(sparse.csr_matrix(1j * b), None, psi,
+                                                  np.array([0.0, 1.0])))
+        term, total, size = psi.copy(), psi.copy(), np.linalg.norm(psi)
+        for p in range(1, m + 1):
+            term = b @ term / p
+            total += term
+            size += np.linalg.norm(term)
+        # relative to the sum of the terms' norms, which bounds the rounding
+        # of either sum
+        assert np.linalg.norm(states[1] - total) <= 1e-14 * size
+
+    # at |dt| = 0.5 each sample is one expansion; at dt = 20 one sample
+    # spacing is past theta_55, so it takes substeps
     @pytest.mark.parametrize("horizon, dt", [(40.0, 0.5), (-40.0, -0.5), (60.0, 20.0)],
                              ids=["forward", "backward", "substeps"])
     def test_matches_dense_eigh(self, horizon, dt):
@@ -336,8 +371,9 @@ class TestTaylorPropagator:
            index_dtype=st.sampled_from([np.int32, np.int64]),
            seed=st.integers(0, 2**32 - 1))
     def test_matvec_matches_scipy_product_bit_for_bit(self, n, density, index_dtype, seed):
-        # _matvec calls scipy's private csr_matvec; a release that changes
-        # that kernel must fail here rather than drift
+        # every Taylor power calls scipy's private csr_matvec, which adds
+        # A x into its output; a release that changes that kernel must fail
+        # here rather than drift
         rng = np.random.default_rng(seed)
         mask = rng.random((n, n)) < density
         mask[rng.integers(n)] = False
@@ -349,9 +385,14 @@ class TestTaylorPropagator:
         mat.indptr = mat.indptr.astype(index_dtype)
         mat.indices = mat.indices.astype(index_dtype)
         x = rng.normal(size=n) + 1j * rng.normal(size=n)
-        out = np.full(n, np.nan, dtype=complex)
-        dynamics._matvec(mat.indptr, mat.indices, mat.data, x, out)
+        out = np.zeros(n, dtype=complex)
+        dynamics.csr_matvec(n, n, mat.indptr, mat.indices, mat.data, x, out)
         assert out.tobytes() == (mat @ x).tobytes()
+        y = rng.normal(size=n) + 1j * rng.normal(size=n)
+        out = y.copy()
+        dynamics.csr_matvec(n, n, mat.indptr, mat.indices, mat.data, x, out)
+        scale = np.abs(y) + abs(mat) @ np.abs(x)
+        assert np.all(np.abs(out - (y + mat @ x)) <= 1e-13 * scale)
 
     @given(n=st.integers(3, 30), drive=st.sampled_from(["overlap", "disjoint", "empty",
                                                         "zeroed_diagonal"]),
@@ -380,8 +421,7 @@ class TestTaylorPropagator:
         }[drive] * (-1j)
         indptr, indices, h_data, x_data = dynamics._shared_pattern(half, amplitude)
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        fused = np.empty(n, dtype=complex)
-        dynamics._matvec(indptr, indices, h_data + c * x_data, v, fused)
+        fused = sparse.csr_matrix((h_data + c * x_data, indices, indptr), shape=(n, n)) @ v
         separate = (half @ v, c * (amplitude @ v))
         scale = sum(np.linalg.norm(part) for part in separate)
         assert np.linalg.norm(fused - sum(separate)) <= 1e-13 * scale
@@ -530,7 +570,7 @@ class TestDissipationTrace:
 
     def test_vanishing_denominator(self, monkeypatch):
         # the check runs before anything is propagated
-        monkeypatch.setattr(dynamics, "_taylor_blocks", None)
+        monkeypatch.setattr(dynamics, "_taylor_states", None)
         model = DiscretizedModel(
             h0_diag=np.array([0.0, 0.0, np.pi]),
             v_xi=np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
