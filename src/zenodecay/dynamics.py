@@ -286,7 +286,9 @@ def _grid_steps(horizon, dt, scale):
     dt defaults to 0.02 over the energy scale.  The stride is
     max(1, steps // 2000) for a grid of that many steps, and n_dt is
     rounded up to a stride multiple, so every stride-th step gives fewer
-    than 4000 uniform sample intervals ending at the horizon.
+    than 4000 uniform sample intervals ending at the horizon.  More than
+    2**53 steps, past which a float no longer counts them exactly, raise
+    DimensionOverBudgetError before any array is sized by the count.
     """
     if horizon == 0 or not np.isfinite(horizon):
         raise ValueError("horizon must be finite and nonzero")
@@ -295,7 +297,10 @@ def _grid_steps(horizon, dt, scale):
         dt = np.copysign(step, horizon)
     if dt == 0 or np.sign(dt) != np.sign(horizon):
         raise ValueError("dt must be nonzero and share the sign of horizon")
-    n_dt = max(1, int(round(horizon / dt)))
+    steps = horizon / dt
+    if steps > 2.0**53:
+        raise DimensionOverBudgetError(f"time grid needs {steps:.3g} steps, at most 2**53")
+    n_dt = max(1, int(round(steps)))
     stride = max(1, n_dt // 2000)
     return stride * ((n_dt + stride - 1) // stride), stride
 

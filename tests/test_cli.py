@@ -697,6 +697,14 @@ class TestRunSweep:
         assert row["status"] == "ok"
         assert row["warnings"].startswith("step_error=")
 
+    @pytest.mark.parametrize("dt", [1e-320, 1e-300])
+    def test_step_count_no_float_holds_fails_its_row(self, dt):
+        cfg = rabi_config(sweep={"path": "rabi.omega", "values": [0.2]}, routes="dynamic",
+                          dynamic={"n_y": 120, "dt": dt})
+        (row,) = run_sweep(parse_config(cfg))
+        assert row["status"] == "dimension_over_budget"
+        assert row["warnings"].startswith("time grid needs ")
+
     def test_rate_row_builds_one_kernel(self, monkeypatch):
         import zenodecay.scenarios as scenarios
 
@@ -908,6 +916,30 @@ class TestMain:
             tracemalloc.stop()
         assert code == 1
         assert capsys.readouterr().err.startswith("error: memory-kernel solve needs ")
+        assert peak < 10 * 2**20
+
+    @pytest.mark.parametrize("kind, dt, quantity", [
+        ("unstable", 1e-320, "F"), ("unstable", 1e-320, "D"), ("unstable", 1e-300, "F"),
+        ("rabi", 1e-300, "F"), ("rabi", 1e-300, "D")])
+    def test_trace_refuses_a_step_count_no_float_holds(self, tmp_path, capsys, kind, dt,
+                                                       quantity):
+        # horizon / dt is inf at 1e-320; at 1e-300 its int has 302 digits
+        scenario = {"kind": "unstable", "m_y": dict(FLAT_Y), "omega_f": 0.05,
+                    "m_z": {"kind": "flat", "level": 0.1, "support": [-12.0, 12.0]},
+                    "z_resonance": 0.0}
+        raw = rabi_config(sweep=None, dynamic={"n_y": 120, "n_z": 80, "dt": dt})
+        if kind == "unstable":
+            raw["scenario"] = scenario
+        cfg = write_config(tmp_path, raw)
+        tracemalloc.start()
+        try:
+            code = main(["trace", cfg, "--quantity", quantity, "--horizon", "30"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        steps = "inf" if dt == 1e-320 else "3e+301"
+        assert capsys.readouterr().err == f"error: time grid needs {steps} steps, at most 2**53\n"
         assert peak < 10 * 2**20
 
     def test_trace_cascade_amplitude_on_two_samples(self, tmp_path, capsys):
