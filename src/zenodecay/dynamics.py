@@ -15,10 +15,11 @@ over a uniform sample grid; a driven model takes 4th-order
 commutator-free Magnus steps (CF4:2), each two such exponentials.  Each
 exponential is evaluated by Horner's rule in two vectors, one sparse
 product added into a scaled copy of the state per power, with no dense
-product and no BLAS call; a driven model keeps H_s/2 and the drive
-amplitude on one sparsity pattern, so the matrix of an exponential is one
-data array.  The propagator hands its samples over one state at a time,
-so survival_amplitude and dissipation_trace keep one reduced value per
+product and no BLAS call.  Every model runs one sample loop, which keeps
+the static part of an exponential and the drive amplitude (empty for a
+static model) on one sparsity pattern, so its matrix is one data array.
+The propagator hands its samples over one state at a time, so
+survival_amplitude and dissipation_trace keep one reduced value per
 sample and never the full state matrix; propagate stacks the states.
 
 When every decay mode carries its own copy of one final-state sector, the
@@ -250,21 +251,16 @@ def build_decay_model(
 
 
 def _static_matrix(model: DiscretizedModel):
+    """H0 + V + W, converted to CSR from one coordinate list."""
     n = model.dimension
-    parts = [sparse.diags(model.h0_diag.astype(complex), format="csr")]
-    if model.v_xi.size:
-        xi = np.arange(1, model.v_xi.size + 1)
-        zeros = np.zeros_like(xi)
-        rows = np.concatenate([xi, zeros])
-        cols = np.concatenate([zeros, xi])
-        data = np.concatenate([model.v_xi, np.conj(model.v_xi)])
-        parts.append(sparse.csr_matrix((data, (rows, cols)), shape=(n, n)))
-    if model.w_static is not None:
-        parts.append(model.w_static)
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    return total.tocsr()
+    w = sparse.coo_matrix(model.w_static if model.w_static is not None else (n, n))
+    diag = np.arange(n)
+    xi = np.arange(1, model.v_xi.size + 1)
+    zeros = np.zeros_like(xi)
+    rows = np.concatenate([diag, xi, zeros, w.row])
+    cols = np.concatenate([diag, zeros, xi, w.col])
+    data = np.concatenate([model.h0_diag, model.v_xi, np.conj(model.v_xi), w.data])
+    return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
 def _energy_scale(model: DiscretizedModel) -> float:
@@ -363,16 +359,17 @@ def _taylor_states(static, drive, psi0, times, t_offset=0.0):
 
     Truncated Taylor series (Al-Mohy and Higham 2011) of the generator
     shifted by its mean diagonal, whose exponential is an exact scalar
-    phase.  A static sample is one exponential of the sample spacing; a
-    driven sample takes ceil(omega_d spacing / 0.5) CF4:2 steps, each two
-    exponentials of H_s/2 + c X with c drawn from the drive at the step's
-    Gauss points (Blanes and Moan, Appl. Numer. Math. 56 (2006) 1519).
-    H_s/2 and X share one sparsity pattern, so each driven exponential
-    first writes the data of H_s/2 + c X into one buffer.  Every
-    exponential, taken in s substeps, applies the degree-m series of
+    phase.  A driven sample takes ceil(omega_d spacing / 0.5) CF4:2 steps,
+    each two exponentials of H_s/2 + c X with c drawn from the drive at the
+    step's Gauss points (Blanes and Moan, Appl. Numer. Math. 56 (2006)
+    1519); a static sample is one exponential of H_s over the sample
+    spacing, with an empty X.  H_s and X share one sparsity pattern, so
+    each exponential first writes the data of its matrix into one buffer.
+    Every exponential, taken in s substeps, applies the degree-m series of
     exp(B) by Horner's rule in two vectors: from v_m = psi,
     v_{p-1} = (m!/(p-1)!) psi + B v_p, and exp(B) psi = v_0 / m!, so each
-    power is one sparse product added into a scaled copy of psi.  The
+    power is one sparse product added into a scaled copy of psi.  A state
+    whose norm drifted beyond 1e-6 of psi0's raises StepTooLargeError.  The
     yielded states are fresh arrays.
     """
     n = psi0.size
@@ -382,65 +379,47 @@ def _taylor_states(static, drive, psi0, times, t_offset=0.0):
     # forward over |t|
     generator = (-1j * np.sign(horizon)) * (static - shift * sparse.identity(n, format="csr"))
     spacing = abs(horizon) / (times.size - 1)
-    norm = float(abs(generator).sum(axis=0).max())
-    steps = 1
-    if drive is not None:
-        steps = max(1, math.ceil(drive.frequency * spacing / _DRIVE_PHASE_STEP))
-        amplitude = (-1j * np.sign(horizon)) * drive.amplitude
-        # |c| <= a + |b| = 1/sqrt(3)
-        norm = 0.5 * norm + float(abs(amplitude).sum(axis=0).max()) / math.sqrt(3.0)
+    # the weights of the drive at the two Gauss points, one pair per
+    # exponential of a step
+    exponentials = ((1.0, 0.0),) if drive is None else (_CF4_WEIGHTS, _CF4_WEIGHTS[::-1])
+    drive = drive or DriveTerm(sparse.csr_matrix((n, n)), 0.0)
+    steps = max(1, math.ceil(drive.frequency * spacing / _DRIVE_PHASE_STEP))
+    amplitude = (-1j * np.sign(horizon)) * drive.amplitude
     h = spacing / steps
+    # |c| <= a + |b| = 1/sqrt(3) for a driven model
+    norm = (float(abs(generator).sum(axis=0).max()) / len(exponentials)
+            + float(abs(amplitude).sum(axis=0).max()) / math.sqrt(3.0))
     m, s = _taylor_plan(norm * h)
     # m!/(p-1)! for p = m .. 1, the last m!
     scales = np.cumprod(np.arange(m, 0, -1, dtype=float))
-    psi = np.array(psi0, dtype=complex, copy=True)
-    buffers = np.empty((2, n), dtype=complex)
-
-    def expand(indptr, indices, data):
-        for _ in range(s):
-            v, w = buffers
-            np.copyto(v, psi)
-            for scale in scales:
-                np.multiply(psi, scale, out=w)
-                # csr_matvec adds B v to w
-                csr_matvec(n, n, indptr, indices, data, v, w)
-                v, w = w, v
-            np.divide(v, scales[-1], out=psi)
-
-    yield psi.copy()
-    if drive is None:
-        step = (h / s) * generator
-        for t in times[1:]:
-            expand(step.indptr, step.indices, step.data)
-            yield psi * np.exp(-1j * shift * t)
-        return
-    # H_s/2 and the drive amplitude, both over one substep
+    # H_s, halved for a driven model, and X, both over one substep
     indptr, indices, h_data, x_data = _shared_pattern(
-        (0.5 * h / s) * generator, (h / s) * amplitude
+        (h / len(exponentials) / s) * generator, (h / s) * amplitude
     )
     data = np.empty_like(h_data)
-    a, b = _CF4_WEIGHTS
+    psi = np.array(psi0, dtype=complex, copy=True)
+    buffers = np.empty((2, n), dtype=complex)
+    # along an axis, norm sums by ufunc rather than by a BLAS dot
+    norm0 = float(np.linalg.norm(psi0, axis=0))
     tau = math.copysign(h, horizon)
+    yield psi.copy()
     for j in range(1, times.size):
         for k in range(steps):
             t = t_offset + times[j - 1] + k * tau
             c1, c2 = (math.cos(drive.frequency * (t + node * tau)) for node in _CF4_NODES)
-            for c in (a * c1 + b * c2, b * c1 + a * c2):
-                np.multiply(x_data, c, out=data)
+            for a, b in exponentials:
+                np.multiply(x_data, a * c1 + b * c2, out=data)
                 np.add(data, h_data, out=data)
-                expand(indptr, indices, data)
-        yield psi * np.exp(-1j * shift * times[j])
-
-
-def _evolve(static, drive, psi0, times, t_offset=0.0):
-    """The sampled states, the first psi0.
-
-    A state whose norm drifted beyond 1e-6 of psi0's raises
-    StepTooLargeError.
-    """
-    # along an axis, norm sums by ufunc rather than by a BLAS dot
-    norm0 = float(np.linalg.norm(psi0, axis=0))
-    for state in _taylor_states(static, drive, psi0, times, t_offset):
+                for _ in range(s):
+                    v, w = buffers
+                    np.copyto(v, psi)
+                    for scale in scales:
+                        np.multiply(psi, scale, out=w)
+                        # csr_matvec adds B v to w
+                        csr_matvec(n, n, indptr, indices, data, v, w)
+                        v, w = w, v
+                    np.divide(v, scales[-1], out=psi)
+        state = psi * np.exp(-1j * shift * times[j])
         drift = abs(float(np.linalg.norm(state, axis=0)) - norm0)
         if drift > _NORM_DRIFT_LIMIT * max(norm0, 1e-300):
             raise StepTooLargeError(
@@ -469,7 +448,7 @@ def _sampled_states(model, times, dim_budget, initial_state=None, t_offset=0.0):
         psi0 = np.asarray(initial_state, dtype=complex)
         if psi0.shape != (n,) or not np.all(np.isfinite(psi0)):
             raise ValueError("initial_state must be a finite length-n vector")
-    return _evolve(_static_matrix(model), model.drive, psi0, times, t_offset)
+    return _taylor_states(_static_matrix(model), model.drive, psi0, times, t_offset)
 
 
 def propagate(
@@ -604,25 +583,19 @@ def dissipation_trace(
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     # the grid of the propagation, which runs with the decay coupling off
-    scale = _energy_scale(replace(model, v_xi=np.zeros_like(model.v_xi)))
-    return _sampled_dissipation(model, _time_grid(horizon, dt, scale), dim_budget)
+    uncoupled = replace(model, v_xi=np.zeros_like(model.v_xi))
+    times = _time_grid(horizon, dt, _energy_scale(uncoupled))
+    return _sampled_dissipation(model, times, dim_budget, uncoupled)
 
 
-def _sampled_dissipation(model, times, dim_budget) -> DissipationTrace:
-    """dissipation_trace on a given uniform grid from tau = 0."""
+def _sampled_dissipation(model, times, dim_budget, uncoupled=None) -> DissipationTrace:
+    """dissipation_trace on a given uniform grid from tau = 0; uncoupled is built if not given."""
     if np.linalg.norm(model.v_xi) == 0:
         raise ValueError("model has no decay coupling; D is undefined")
     xi = slice(1, 1 + model.v_xi.size)
     phi = np.zeros(model.dimension, dtype=complex)
     phi[xi] = model.v_xi
     phi /= np.linalg.norm(phi)
-    uncoupled = replace(model, v_xi=np.zeros_like(model.v_xi))
-    bra = np.conj(phi)
-
-    def overlap(states):
-        return np.fromiter((state @ bra for state in states), complex, times.size)
-
-    states = _sampled_states(uncoupled, times, dim_budget, phi)
     weights = np.abs(phi[xi]) ** 2
     energies = model.h0_diag[xi]
     denominator = np.exp(-1j * np.outer(times, energies)) @ weights
@@ -630,7 +603,13 @@ def _sampled_dissipation(model, times, dim_budget) -> DissipationTrace:
         raise VanishingDenominatorError(
             "free-evolution overlap passes through zero on the sample grid"
         )
-    values = overlap(states) / denominator
+    uncoupled = uncoupled or replace(model, v_xi=np.zeros_like(model.v_xi))
+    bra = np.conj(phi)
+
+    def overlap(states):
+        return np.fromiter((state @ bra for state in states), complex, times.size)
+
+    values = overlap(_sampled_states(uncoupled, times, dim_budget, phi)) / denominator
     flags = []
     if model.drive is not None and model.drive.frequency > 0:
         period = 2.0 * np.pi / model.drive.frequency

@@ -49,13 +49,21 @@ class DomainError(ZenoError):
 
 
 class StepTooLargeError(ZenoError):
-    """Propagation norm drift exceeded budget: a Taylor step outran its series."""
+    """A step too coarse for its numerics.
+
+    Propagation norm drift exceeded budget (a Taylor step outran its
+    series), or a memory-kernel solve lifted |G| or |F| above 1.
+    """
 
     slug = "step_too_large"
 
 
 class DimensionOverBudgetError(ZenoError):
-    """Model dimension exceeds the configured cap."""
+    """A model, grid or solve larger than its cap.
+
+    The model dimension exceeds the configured budget, a time grid needs
+    more than 2**53 steps, or a memory-kernel solve more than 4,000,000.
+    """
 
     slug = "dimension_over_budget"
 

@@ -417,8 +417,6 @@ def _cascade_amplitude(scenario, horizon: float, controls: DynamicControls):
     on every step of spacing about dt, not only on the samples, and again
     at twice that step, from D at twice its step, for the error estimate.
     """
-    if not horizon > 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
     omega, v, dy = discretize_continuum(scenario.m_y, controls.n_y)
     sector = _sector(scenario, controls.n_z)
     _check_budget(1 + omega.size * sector[0].size, controls.dim_budget)
@@ -479,8 +477,10 @@ def scenario_amplitude(scenario, horizon: float, controls: DynamicControls | Non
     the doubled step lifts |F| above 1; when sup |F_h - F_2h| / 3 exceeds
     1e-4 the trace carries a step_error warning.  The check is None for a
     driven model, whose propagation the norm-drift guard covers, and on a
-    grid of under 3 steps.
+    grid of under 3 steps.  The horizon must be finite and positive.
     """
+    if not (np.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be positive, got {horizon}")
     controls = controls or DynamicControls()
     if isinstance(scenario, RabiDriveScenario):
         model = build_dynamic(scenario, controls)
@@ -620,8 +620,8 @@ def dynamic_gamma(
     """
     controls = controls or DynamicControls()
     t_rec = _recurrence_time(scenario, controls)
-    expected = analytic_gamma(scenario).gamma
-    window = controls.fit_window or _default_window(scenario, t_rec, expected)
+    window = controls.fit_window or _default_window(scenario, t_rec,
+                                                    analytic_gamma(scenario).gamma)
     horizon = controls.horizon or window[1]
     trace, check = scenario_amplitude(scenario, horizon, controls)
     gamma0 = 2.0 * math.pi * scenario.m_y(scenario.omega_f)

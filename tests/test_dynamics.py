@@ -331,6 +331,8 @@ class TestTaylorPropagator:
         psi = rng.normal(size=n) + 1j * rng.normal(size=n)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dynamics, "_taylor_plan", lambda x: (m, 1))
+            # B is not anti-Hermitian, so the norm is free to move
+            patch.setattr(dynamics, "_NORM_DRIFT_LIMIT", np.inf)
             states = list(dynamics._taylor_states(sparse.csr_matrix(1j * b), None, psi,
                                                   np.array([0.0, 1.0])))
         term, total, size = psi.copy(), psi.copy(), np.linalg.norm(psi)
@@ -341,6 +343,25 @@ class TestTaylorPropagator:
         # relative to the sum of the terms' norms, which bounds the rounding
         # of either sum
         assert np.linalg.norm(states[1] - total) <= 1e-14 * size
+
+    @pytest.mark.parametrize("frequency", [None, 1.3], ids=["static", "driven"])
+    def test_product_count(self, monkeypatch, frequency):
+        # a static sample is one exponential; a driven one is two per CF4:2
+        # step, and at omega_d 1.3 a spacing of 0.5 takes two steps
+        model = chain_model(np.random.default_rng(7))
+        exponentials = 1
+        if frequency is not None:
+            model = zero_frequency_twin(model, frequency)
+            exponentials = 2 * 2
+        plans, products = [], []
+        plan, matvec = dynamics._taylor_plan, dynamics.csr_matvec
+        monkeypatch.setattr(dynamics, "_taylor_plan", lambda x: plans.append(plan(x)) or plans[-1])
+        monkeypatch.setattr(dynamics, "csr_matvec",
+                            lambda *args: products.append(1) or matvec(*args))
+        samples = propagate(model, 20.0, 0.5).times.size
+        ((m, s),) = plans
+        assert samples == 41
+        assert len(products) == (samples - 1) * exponentials * m * s
 
     # at |dt| = 0.5 each sample is one expansion; at dt = 20 one sample
     # spacing is past theta_55, so it takes substeps

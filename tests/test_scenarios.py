@@ -288,6 +288,15 @@ class TestScenarioTrace:
         with pytest.raises(ValueError):
             scenario_trace(scen, 0.0)
 
+    @pytest.mark.parametrize("horizon", [-2.0, 0.0, np.inf, np.nan])
+    @pytest.mark.parametrize("kind", ["rabi", "cascade"])
+    def test_amplitude_horizon_must_be_positive(self, kind, horizon):
+        # a driven amplitude once ran backwards at a negative horizon
+        scen = (RabiDriveScenario(m_y=FLAT_Y, omega_f=0.0, omega=0.1, omega_21=1.0)
+                if kind == "rabi" else CASCADES["bare_width_with_shift"])
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            scenario_amplitude(scen, horizon, DynamicControls(n_y=100))
+
     def test_cascade_trace_decays_at_half_width(self):
         scen = UnstableLevelScenario(m_y=FLAT_Y, omega_f=0.0, lambda_r=0.1)
         trace = scenario_trace(scen, 15.0)
@@ -338,6 +347,19 @@ class TestTwoRouteAgreement:
         assert dynamic.method == "dynamic_fit"
         # a propagated amplitude has the norm-drift guard, not a step error
         assert diag.step_error is None
+
+    def test_explicit_window_needs_no_rate_integral(self, monkeypatch):
+        # the rate integral only places a default window
+        scen = CASCADES["bare_width_with_shift"]
+        controls = DynamicControls(n_y=60, n_z=40, dt=0.05, fit_window=(5.0, 15.0))
+        expected, _ = dynamic_gamma(scen, controls)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the simulation route called the rate integral")
+
+        monkeypatch.setattr(scenarios, "analytic_gamma", refuse)
+        result, _ = dynamic_gamma(scen, controls)
+        assert result.gamma == expected.gamma
 
 
 class TestMemoryKernelRoute:
