@@ -364,7 +364,8 @@ def _taylor_states(static, drive, psi0, times, t_offset=0.0):
     step's Gauss points (Blanes and Moan, Appl. Numer. Math. 56 (2006)
     1519); a static sample is one exponential of H_s over the sample
     spacing, with an empty X.  H_s and X share one sparsity pattern, so
-    each exponential first writes the data of its matrix into one buffer.
+    the matrix of an exponential is one data array, rewritten per
+    exponential only when the drive has a frequency.
     Every exponential, taken in s substeps, applies the degree-m series of
     exp(B) by Horner's rule in two vectors: from v_m = psi,
     v_{p-1} = (m!/(p-1)!) psi + B v_p, and exp(B) psi = v_0 / m!, so each
@@ -396,7 +397,8 @@ def _taylor_states(static, drive, psi0, times, t_offset=0.0):
     indptr, indices, h_data, x_data = _shared_pattern(
         (h / len(exponentials) / s) * generator, (h / s) * amplitude
     )
-    data = np.empty_like(h_data)
+    # the matrix of an exponential, which a drive of frequency 0 leaves fixed
+    data = h_data + sum(exponentials[0]) * x_data
     psi = np.array(psi0, dtype=complex, copy=True)
     buffers = np.empty((2, n), dtype=complex)
     # along an axis, norm sums by ufunc rather than by a BLAS dot
@@ -406,10 +408,12 @@ def _taylor_states(static, drive, psi0, times, t_offset=0.0):
     for j in range(1, times.size):
         for k in range(steps):
             t = t_offset + times[j - 1] + k * tau
-            c1, c2 = (math.cos(drive.frequency * (t + node * tau)) for node in _CF4_NODES)
+            c1, c2 = ((math.cos(drive.frequency * (t + node * tau)) for node in _CF4_NODES)
+                      if drive.frequency else (1.0, 1.0))
             for a, b in exponentials:
-                np.multiply(x_data, a * c1 + b * c2, out=data)
-                np.add(data, h_data, out=data)
+                if drive.frequency:
+                    np.multiply(x_data, a * c1 + b * c2, out=data)
+                    np.add(data, h_data, out=data)
                 for _ in range(s):
                     v, w = buffers
                     np.copyto(v, psi)
@@ -583,15 +587,16 @@ def dissipation_trace(
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     # the grid of the propagation, which runs with the decay coupling off
-    uncoupled = replace(model, v_xi=np.zeros_like(model.v_xi))
-    times = _time_grid(horizon, dt, _energy_scale(uncoupled))
-    return _sampled_dissipation(model, times, dim_budget, uncoupled)
+    scale = _energy_scale(replace(model, v_xi=np.zeros_like(model.v_xi)))
+    return _sampled_dissipation(model, _time_grid(horizon, dt, scale), dim_budget)
 
 
-def _sampled_dissipation(model, times, dim_budget, uncoupled=None) -> DissipationTrace:
-    """dissipation_trace on a given uniform grid from tau = 0; uncoupled is built if not given."""
+def _sampled_dissipation(model, times, dim_budget) -> DissipationTrace:
+    """dissipation_trace on a given uniform grid from tau = 0."""
     if np.linalg.norm(model.v_xi) == 0:
         raise ValueError("model has no decay coupling; D is undefined")
+    # before the denominator sizes an array by times and modes
+    _check_budget(model.dimension, dim_budget)
     xi = slice(1, 1 + model.v_xi.size)
     phi = np.zeros(model.dimension, dtype=complex)
     phi[xi] = model.v_xi
@@ -603,7 +608,7 @@ def _sampled_dissipation(model, times, dim_budget, uncoupled=None) -> Dissipatio
         raise VanishingDenominatorError(
             "free-evolution overlap passes through zero on the sample grid"
         )
-    uncoupled = uncoupled or replace(model, v_xi=np.zeros_like(model.v_xi))
+    uncoupled = replace(model, v_xi=np.zeros_like(model.v_xi))
     bra = np.conj(phi)
 
     def overlap(states):

@@ -619,6 +619,30 @@ class TestDissipationTrace:
         with pytest.raises(DimensionOverBudgetError):
             dissipation_trace(model, 1.0, dim_budget=10)
 
+    def test_budget_is_checked_before_the_denominator(self):
+        # 2001 samples of 2000 modes: the denominator's outer product
+        # alone would take 64 MB
+        modes = 2000
+        model = DiscretizedModel(
+            h0_diag=np.linspace(-1.0, 1.0, modes + 1),
+            v_xi=np.full(modes, modes**-0.5, dtype=complex),
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionOverBudgetError):
+                dissipation_trace(model, 1000.0, dim_budget=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # a vanishing denominator does not hide the budget
+        vanishing = DiscretizedModel(
+            h0_diag=np.array([0.0, 0.0, np.pi]),
+            v_xi=np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
+        )
+        with pytest.raises(DimensionOverBudgetError):
+            dissipation_trace(vanishing, 2.0, 0.01, dim_budget=2)
+
 
 class TestMemoryKernelSolver:
     @staticmethod
