@@ -5,8 +5,13 @@ import io
 import json
 import logging
 import math
+import multiprocessing
+import os
+import pathlib
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -685,6 +690,31 @@ class TestRunSweep:
             assert serial == pooled
         assert ",error," in pooled and "fold the shift" in pooled
 
+    @pytest.mark.parametrize("methods", [None, ["spawn"]],
+                             ids=["listed", "spawn-only"])
+    def test_pool_start_method(self, monkeypatch, methods):
+        contexts = []
+
+        class Recorder(cli.ProcessPoolExecutor):
+            def __init__(self, *args, mp_context=None, **kwargs):
+                contexts.append(mp_context)
+                super().__init__(*args, mp_context=mp_context, **kwargs)
+
+        if methods is None:
+            listed = multiprocessing.get_all_start_methods()
+            want = "forkserver" if "forkserver" in listed else "spawn"
+        else:
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                                lambda: methods)
+            want = "spawn"
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+        config = parse_config(rabi_config())
+        columns = sweep_columns(config.routes)
+        serial = render_rows(run_sweep(config, jobs=1), columns, "csv")
+        pooled = render_rows(run_sweep(config, jobs=2), columns, "csv")
+        assert [c.get_start_method() for c in contexts] == [want]
+        assert pooled == serial
+
     def test_coarse_cascade_step_is_flagged_and_row_stays_ok(self):
         cfg = rabi_config(
             scenario={"kind": "unstable", "m_y": dict(FLAT_Y), "omega_f": 0.0,
@@ -975,7 +1005,48 @@ class TestMain:
         assert all(float(row[3]) <= 1.0 + 1e-9 for row in data)
 
 
+def _live_in_session(session):
+    """Pids of the processes in a session that are not zombies."""
+    live = []
+    for stat in pathlib.Path("/proc").glob("[0-9]*/stat"):
+        try:
+            text = stat.read_text()
+        except OSError:  # the process exited while the directory was listed
+            continue
+        # the fields after the parenthesised command name: state, ppid,
+        # process group, session
+        state, _, _, sid = text[text.rindex(")") + 2:].split()[:4]
+        if int(sid) == session and state != "Z":
+            live.append(int(stat.parent.name))
+    return live
+
+
 class TestModuleEntryPoint:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs procfs")
+    def test_no_live_process_outlives_a_pooled_run(self, tmp_path):
+        cfg = write_config(tmp_path, rabi_config())
+        out, err = tmp_path / "out.csv", tmp_path / "err.txt"
+        # files, not pipes: a process left running would hold a pipe open
+        # and keep the wait from returning until it exits
+        with open(err, "w") as stderr:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "zenodecay", "run", cfg, "--jobs", "2",
+                 "--out", str(out)],
+                stdout=subprocess.DEVNULL, stderr=stderr, start_new_session=True,
+            )
+        try:
+            assert proc.wait(timeout=120) == 0, err.read_text()
+            assert len(out.read_text().splitlines()) == 4
+            # the new session's id is the run's pid; the forkserver and the
+            # resource tracker exit once the run closes their pipes
+            deadline = time.monotonic() + 5.0
+            while (live := _live_in_session(proc.pid)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert live == []
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+
     def test_python_dash_m_invocation(self, tmp_path):
         cfg = write_config(tmp_path, rabi_config())
         proc = subprocess.run(
