@@ -3,8 +3,8 @@
 The bare rate is gamma0 = 2 pi M(E0).  With a broadening kernel Delta the
 perturbed rate becomes gamma = 2 pi int M(omega) Delta(omega - E0) domega,
 integrated over the declared support of M.  Closed forms cover the atomic
-kernels; a Lorentzian is one adaptive quadrature over an angle in which it
-is flat, and sampled kernels take Gauss rules between their nodes.
+kernels.  Every other kernel takes one adaptive Gauss-Legendre quadrature:
+a Lorentzian over an angle in which it is flat, a sampled kernel over omega.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import warnings as _warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, QuadratureError
 from .spectral import (
@@ -39,16 +38,10 @@ NEGATIVE_RATE_CLAMPED = "negative_rate_clamped"
 
 _REL_TOL = 1e-10
 _ACCEPT_REL = 1e-8
+_MAX_BISECTIONS = 400
 
-# Gauss-Legendre nodes and weights on [-1, 1]
-_X2 = np.array([-0.5773502691896257, 0.5773502691896257])
-_W2 = np.array([1.0, 1.0])
-_X4 = np.array(
-    [-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526]
-)
-_W4 = np.array(
-    [0.3478548451374538, 0.6521451548625461, 0.6521451548625461, 0.3478548451374538]
-)
+# 8-point Gauss-Legendre nodes and weights on [-1, 1]
+_X, _W = np.polynomial.legendre.leggauss(8)
 
 
 @dataclass(frozen=True)
@@ -95,28 +88,53 @@ def _atomic_gamma(density, kernel, e0):
     return _make_result(gamma, 2.0 * np.pi * density(e0), "closed_form")
 
 
-def _breakpoints(density, lo, hi, extra=()):
-    pts = [p for p in extra if lo < p < hi]
+def _panel_edges(density, lo, hi, points, transform=np.asarray):
+    """Sorted, distinct panel edges: lo, hi, and every point or knot between."""
     if isinstance(density, TabulatedDensity):
-        inner = [p for p in density.knots if lo < p < hi]
-        if len(inner) <= 64:
-            pts.extend(inner)
-    return sorted(set(pts)) or None
+        points = np.concatenate([points, density.knots])
+    inner = points[(points > lo) & (points < hi)]
+    return np.unique(transform(np.concatenate(([lo], inner, [hi]))))
 
-def _run_quad(func, lo, hi, points):
-    out = integrate.quad(
-        func, lo, hi, points=points, limit=400, epsabs=0.0, epsrel=_REL_TOL, full_output=1
-    )
-    value, abserr = out[0], out[1]
-    if len(out) > 3:  # QUADPACK appended a trouble message
-        if not abs(abserr) <= _ACCEPT_REL * abs(value):
-            raise QuadratureError(
-                f"quadrature did not converge: {out[3]} "
-                f"(last estimate {value:.6e}, bound {abserr:.2e})",
-                estimate=2.0 * np.pi * value,
-                error_bound=2.0 * np.pi * abserr,
-            )
-    return value, abserr
+
+def _quadrature(func, edges):
+    """Adaptive Gauss-Legendre integral of func over [edges[0], edges[-1]].
+
+    The 8-point rule on each panel is compared with the rule on its two
+    halves; the halves stand once that gap is within the panel's width
+    share of _REL_TOL |I|, and the panel is bisected otherwise, the nodes of
+    every open panel going to func in one call per round.  Returns I and the
+    summed gaps; past _MAX_BISECTIONS, gaps above _ACCEPT_REL |I| raise.
+    """
+    lo, hi = edges[:-1], edges[1:]
+    tol = _REL_TOL / (edges[-1] - edges[0])
+    value = gap = 0.0
+    bisections = 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        # the rule on the whole panel and on its left and right halves
+        half = 0.5 * np.concatenate([hi - lo, mid - lo, hi - mid])
+        x = (np.concatenate([lo, lo, mid]) + half)[:, None] + half[:, None] * _X
+        f = func(x.ravel()).reshape(x.shape)
+        whole, left, right = np.split((f * _W).sum(axis=1) * half, 3)
+        halves = left + right
+        gaps = np.abs(halves - whole)
+        total = value + halves.sum()
+        open_ = gaps > tol * (hi - lo) * abs(total)
+        value += halves[~open_].sum()
+        gap += gaps[~open_].sum()
+        bisections += np.count_nonzero(open_)
+        if not open_.any() or bisections > _MAX_BISECTIONS:
+            break
+        lo, hi = np.append(lo[open_], mid[open_]), np.append(mid[open_], hi[open_])
+    gap += gaps[open_].sum()
+    if not gap <= _ACCEPT_REL * abs(total):
+        raise QuadratureError(
+            f"quadrature did not converge in {_MAX_BISECTIONS} bisections "
+            f"(last estimate {total:.6e}, bound {gap:.2e})",
+            estimate=total,
+            error_bound=gap,
+        )
+    return total, gap
 
 
 def _lorentzian_gamma(density, kernel, e0):
@@ -132,20 +150,9 @@ def _lorentzian_gamma(density, kernel, e0):
 
     def integrand(theta):
         s, c = np.sin(theta), np.cos(theta)
-        return density(lo + lam * (1.0 + x_lo * x_lo) * s / (c - x_lo * s))
+        return 2.0 * density(lo + lam * (1.0 + x_lo * x_lo) * s / (c - x_lo * s))
 
-    knots = _breakpoints(density, lo, hi, extra=(center,))
-    pts = list(angle(np.asarray(knots))) if knots else None
-    value, abserr = _run_quad(integrand, 0.0, angle(hi), pts)
-    return 2.0 * value, 2.0 * abserr
-
-
-def _panel_sum(density, kernel, e0, edges, nodes, weights):
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * np.diff(edges)
-    omega = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    f = density(omega) * kernel.density(omega - e0)
-    return float(np.sum(f.reshape(mid.size, nodes.size) @ weights * half))
+    return _quadrature(integrand, _panel_edges(density, lo, hi, np.array([center]), angle))
 
 
 def _numeric_gamma(density, kernel, e0):
@@ -154,15 +161,11 @@ def _numeric_gamma(density, kernel, e0):
     a, b = max(lo, grid[0]), min(hi, grid[-1])
     if not a < b:
         return 0.0, 0.0
-    inner = grid[(grid > a) & (grid < b)]
-    if isinstance(density, TabulatedDensity):
-        kn = density.knots
-        inner = np.concatenate([inner, kn[(kn > a) & (kn < b)]])
-        inner.sort(kind="stable")
-    edges = np.concatenate(([a], inner, [b]))
-    fine = _panel_sum(density, kernel, e0, edges, _X4, _W4)
-    coarse = _panel_sum(density, kernel, e0, edges, _X2, _W2)
-    return 2.0 * np.pi * fine, 2.0 * np.pi * abs(fine - coarse)
+
+    def integrand(omega):
+        return 2.0 * np.pi * density(omega) * kernel.density(omega - e0)
+
+    return _quadrature(integrand, _panel_edges(density, a, b, grid))
 
 
 def perturbed_gamma(
@@ -173,9 +176,11 @@ def perturbed_gamma(
     Atomic kernels reduce to weighted golden-rule evaluations.  A Lorentzian
     centered at c is flat in theta = arctan((omega - c)/lambda) measured from
     the lower support edge, so gamma = 2 int M(omega(theta)) dtheta, split at
-    c and any tabulation knots; a sampled kernel takes Gauss rules between
-    its nodes.  The result is checked against the kernel-mass bound
-    gamma <= 2 pi sup M.
+    c and every tabulation knot; a sampled kernel is integrated over omega,
+    split at its nodes and the knots.  Both bisect their panels until the
+    8-point rule on a panel's halves agrees with the whole to the panel's
+    share of 1e-10 gamma, and the summed gaps are the error estimate.  The
+    result is checked against the kernel-mass bound gamma <= 2 pi sup M.
     """
     if kernel.is_distributional:
         return _atomic_gamma(density, kernel, e0)

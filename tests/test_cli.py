@@ -1047,6 +1047,16 @@ class TestModuleEntryPoint:
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)
 
+    def test_import_leaves_out_scipy_integrate(self):
+        # the rate integral has its own quadrature, so no command pays for
+        # importing QUADPACK
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, zenodecay.cli; print('scipy.integrate' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "False"
+
     def test_python_dash_m_invocation(self, tmp_path):
         cfg = write_config(tmp_path, rabi_config())
         proc = subprocess.run(

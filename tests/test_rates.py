@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy import integrate
 
 from zenodecay.errors import DomainError, QuadratureError
 from zenodecay.rates import (
@@ -12,14 +13,18 @@ from zenodecay.rates import (
     rabi_gamma,
     unstable_level_gamma,
 )
+from zenodecay.scenarios import ScatteringScenario, build_analytic
 from zenodecay.spectral import (
     DiracKernel,
     FlatDensity,
     LorentzianKernel,
     NumericKernel,
     PowerLawDensity,
+    SpectralDensity,
     TabulatedDensity,
 )
+
+SQRT_DENSITY = PowerLawDensity(amplitude=1.0, exponent=0.5, support=(0.0, 3.0))
 
 
 def flat_lorentzian_oracle(level, support, width, center):
@@ -147,8 +152,57 @@ class TestLorentzianQuadrature:
         assert result.gamma0 == 0.0
         assert result.ratio is None
 
+    def test_narrow_kernel_on_square_root_density(self):
+        # the reference integrates in u = omega - c, where the peak's
+        # abscissae carry no rounding from the centre
+        w, c = 1e-4, 1.0
+        result = perturbed_gamma(SQRT_DENSITY, LorentzianKernel(w), c)
+        value, _ = integrate.quad(
+            lambda u: np.sqrt(c + u) * w / (np.pi * (w * w + u * u)), -c, 3.0 - c,
+            points=sorted(s * m * w for m in (1, 10, 100) for s in (-1, 1)),
+            limit=200, epsabs=0.0, epsrel=1e-13,
+        )
+        reference = 2.0 * np.pi * value
+        assert result.gamma == pytest.approx(reference, rel=1e-10, abs=0.0)
+        assert result.quadrature_error_estimate >= abs(result.gamma - reference)
+
+    def test_unresolved_jumps_raise_with_estimate(self):
+        class Comb(SpectralDensity):
+            """A square wave with 2000 jumps that no knot marks."""
+
+            support = (0.0, 1.0)
+            sup_value = 1.0
+
+            def __call__(self, omega):
+                omega = np.asarray(omega, dtype=float)
+                return np.where(self._inside(omega), np.floor(2000.0 * omega) % 2.0, 0.0)
+
+        with pytest.raises(QuadratureError) as info:
+            perturbed_gamma(Comb(), LorentzianKernel(1.0), 0.5)
+        assert 0.0 < info.value.estimate < 2.0 * np.pi
+        assert info.value.error_bound > 1e-8 * info.value.estimate
+
 
 class TestNumericKernelQuadrature:
+    @pytest.mark.parametrize("rate", [316.0, 1e4])
+    def test_square_root_density_matches_panel_integrals(self, rate):
+        omega_f = 1.0
+        kernel = build_analytic(ScatteringScenario(m_y=SQRT_DENSITY, omega_f=omega_f, rate=rate))
+        result = perturbed_gamma(SQRT_DENSITY, kernel, omega_f)
+        # sqrt(omega) times the kernel's linear interpolant, panel by panel
+        # between the kernel nodes, in closed form
+        nodes = kernel.eps + omega_f
+        edges = np.concatenate(([0.0], nodes[(nodes > 0.0) & (nodes < 3.0)], [3.0]))
+        a, b = edges[:-1], edges[1:]
+        k_a = kernel.density(a - omega_f)
+        slope = (kernel.density(b - omega_f) - k_a) / (b - a)
+
+        def antiderivative(x):
+            return 2.0 / 3.0 * x**1.5 * (k_a - slope * a) + 2.0 / 5.0 * x**2.5 * slope
+
+        exact = 2.0 * np.pi * np.sum(antiderivative(b) - antiderivative(a))
+        assert result.gamma == pytest.approx(exact, rel=1e-10, abs=0.0)
+
     def test_sampled_lorentzian_close_to_exact(self):
         lam = 0.5
         eps = np.linspace(-60.0, 60.0, 24001)
