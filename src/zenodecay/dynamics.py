@@ -263,17 +263,12 @@ def _static_matrix(model: DiscretizedModel):
     return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
-def _energy_scale(model: DiscretizedModel) -> float:
-    scales = [float(np.abs(model.h0_diag).max())]
-    if model.v_xi.size:
-        scales.append(float(np.abs(model.v_xi).max()))
-    if model.w_static is not None and model.w_static.nnz:
-        scales.append(float(np.abs(model.w_static.data).max()))
-    if model.drive is not None:
-        scales.append(model.drive.frequency)
-        if model.drive.amplitude.nnz:
-            scales.append(float(np.abs(model.drive.amplitude.data).max()))
-    return max(scales)
+def _energy_scale(h0, v, w=None, drive=None) -> float:
+    """Largest |entry| of H0, V, W and the drive amplitude, or the drive frequency if larger."""
+    parts = [h0, v, () if w is None else w.data]
+    if drive is not None:
+        parts += [drive.amplitude.data, [drive.frequency]]
+    return max(float(np.abs(part).max(initial=0.0)) for part in parts)
 
 
 def _grid_steps(horizon, dt, scale):
@@ -480,7 +475,8 @@ def propagate(
     StepTooLargeError.  Every sampled state is kept; survival_amplitude
     keeps only the initial level's amplitude.
     """
-    times = _time_grid(horizon, dt, _energy_scale(model))
+    times = _time_grid(horizon, dt, _energy_scale(model.h0_diag, model.v_xi, model.w_static,
+                                                   model.drive))
     sampled = _sampled_states(model, times, dim_budget, initial_state)
     states = np.empty((times.size, model.dimension), dtype=complex)
     for row, state in enumerate(sampled):
@@ -503,7 +499,8 @@ def survival_amplitude(
     component of each state.  Memory therefore grows with the number of
     samples or with the dimension, never with their product.
     """
-    times = _time_grid(horizon, dt, _energy_scale(model))
+    times = _time_grid(horizon, dt, _energy_scale(model.h0_diag, model.v_xi, model.w_static,
+                                                   model.drive))
     states = _sampled_states(model, times, dim_budget)
     column = np.fromiter((state[0] for state in states), complex, times.size)
     values = column * np.exp(1j * model.h0_diag[0] * times)
@@ -587,7 +584,7 @@ def dissipation_trace(
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     # the grid of the propagation, which runs with the decay coupling off
-    scale = _energy_scale(replace(model, v_xi=np.zeros_like(model.v_xi)))
+    scale = _energy_scale(model.h0_diag, (), model.w_static, model.drive)
     return _sampled_dissipation(model, _time_grid(horizon, dt, scale), dim_budget)
 
 

@@ -24,7 +24,7 @@ tau) G with G' = -int K_z G and K_z summing the Z couplings, so no model
 is propagated for it either; ``scenario_trace`` gives a cascade's D the
 same way.  C, K_z and F are taken at every dt step (K_z and G on finer
 sub-steps where the Z band needs them), and F is kept on the samples a
-propagation would keep.  The full cascade is never built on that route.
+propagation would keep.  No model of any size is built on that route.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .dynamics import (
     discretize_continuum,
     dissipation_trace,
     fit_decay,
-    memory_kernel_amplitude,
     survival_amplitude,
 )
 # unused here since dynamic_gamma keeps only the survival amplitude;
@@ -300,11 +299,6 @@ def _secondary_density(scenario) -> tuple[SpectralDensity, float]:
     return FlatDensity(level=width / math.pi, support=(-half_band, half_band)), 0.0
 
 
-def _single_mode(scenario):
-    """(omega, v, dy) of one fiducial Y mode at omega_f."""
-    return np.array([scenario.omega_f]), np.array([1.0]), None
-
-
 def _z_chain(scenario, n_z: int):
     """(eps, w_z, spacing): a cascade's Z chain, energies above z_resonance.
 
@@ -411,25 +405,24 @@ def _cascade_amplitude(scenario, horizon: float, controls: DynamicControls):
     """F(t) of the cascade's full model by its memory kernel K = C D.
 
     The samples are those survival_amplitude takes on the full model, whose
-    energy scale sets the default dt: omega ascends, so the extreme |h0|
-    entries sit on the first and last Y modes, and a model of those two and
-    the most strongly coupled one has the full model's scale.  F is solved
-    on every step of spacing about dt, not only on the samples, and again
-    at twice that step, from D at twice its step, for the error estimate.
+    energy scale sets the default dt.  That scale is read off the sector:
+    omega ascends, so the extreme |h0| entries sit on the first and last Y
+    modes, each shifted by every sector offset.  F is solved on every step
+    of spacing about dt, not only on the samples, and again at twice that
+    step, from D at twice its step, for the error estimate.
     """
     omega, v, dy = discretize_continuum(scenario.m_y, controls.n_y)
-    sector = _sector(scenario, controls.n_z)
-    _check_budget(1 + omega.size * sector[0].size, controls.dim_budget)
-    edges = np.unique([0, omega.size - 1, np.abs(v).argmax()])
-    reduced = _star_model(scenario, (omega[edges], v[edges], dy), sector, controls.dim_budget)
-    n_dt, stride = _grid_steps(horizon, controls.dt, _energy_scale(reduced))
+    offsets, w, _ = _sector(scenario, controls.n_z)
+    _check_budget(1 + omega.size * offsets.size, controls.dim_budget)
+    h0 = np.concatenate(([scenario.omega_f], (omega[[0, -1]] + offsets[:, None]).ravel()))
+    n_dt, stride = _grid_steps(horizon, controls.dt, _energy_scale(h0, v, w))
     # first, as it refuses a grid too long for memory
     d_h, d_2h = _chain_dissipation(scenario, controls.n_z, horizon, n_dt)
     steps = _uniform_grid(horizon, n_dt)
     # C(tau) = sum_k |v_k|^2 exp(-i (omega_k - E0) tau)
     correlation = _chirp_sums(omega[0] - scenario.omega_f, dy, v * v, horizon / n_dt,
                               steps.size)
-    fine = memory_kernel_amplitude(steps, correlation * d_h).values
+    fine = _volterra_solve(horizon / n_dt, correlation * d_h)
     trace = AmplitudeTrace(times=steps[::stride], values=fine[::stride])
     if steps.size < 3:
         return trace, None
@@ -439,8 +432,9 @@ def _cascade_amplitude(scenario, horizon: float, controls: DynamicControls):
     # a doubled step that breaks |D| <= 1 or |F| <= 1 bounds nothing
     f_2h, error = None, math.inf
     if d_2h is not None:
+        twice = steps[::2]  # one step short of the horizon on an odd n_dt
         with contextlib.suppress(StepTooLargeError):
-            f_2h = memory_kernel_amplitude(steps[::2], correlation[::2] * d_2h).values[::thin]
+            f_2h = _volterra_solve(twice[-1] / (twice.size - 1), correlation[::2] * d_2h)[::thin]
             error = float(np.abs(f_h - f_2h).max()) / 3.0
     if error > _STEP_ERROR_LIMIT:
         trace = replace(trace, warnings=(f"{STEP_ERROR_WARNING}={error:.3g}",))
@@ -502,7 +496,7 @@ def build_trace_model(
     """
     controls = controls or DynamicControls()
     _check_simulable(scenario)
-    return _star_model(scenario, _single_mode(scenario),
+    return _star_model(scenario, (np.array([scenario.omega_f]), np.array([1.0]), None),
                        _sector(scenario, _trace_n_z(scenario, horizon, controls.n_z)),
                        controls.dim_budget)
 
@@ -534,14 +528,17 @@ def scenario_trace(
         dt = 0.005 / scenario.rate
         steps = max(64, int(np.ceil(horizon / dt)))
         return _synthesize_exponential(scenario.rate, dt, steps, scenario.label)
-    model = build_trace_model(scenario, horizon, controls)
     if isinstance(scenario, RabiDriveScenario):
-        return dissipation_trace(model, horizon, controls.dt, dim_budget=controls.dim_budget)
-    # the samples dissipation_trace would take of the model
-    uncoupled = replace(model, v_xi=np.zeros_like(model.v_xi))
-    n_dt, stride = _grid_steps(horizon, controls.dt, _energy_scale(uncoupled))
-    d_h, d_2h = _chain_dissipation(scenario, _trace_n_z(scenario, horizon, controls.n_z),
-                                   horizon, n_dt)
+        return dissipation_trace(build_trace_model(scenario, horizon, controls), horizon,
+                                 controls.dt, dim_budget=controls.dim_budget)
+    _check_simulable(scenario)
+    n_z = _trace_n_z(scenario, horizon, controls.n_z)
+    offsets, w, _ = _sector(scenario, n_z)
+    # build_trace_model's state count, and the samples dissipation_trace takes
+    _check_budget(1 + offsets.size, controls.dim_budget)
+    n_dt, stride = _grid_steps(horizon, controls.dt,
+                               _energy_scale(scenario.omega_f + offsets, (), w))
+    d_h, d_2h = _chain_dissipation(scenario, n_z, horizon, n_dt)
     flags = ()
     if n_dt >= 2:
         # fourth order: the gap is about 15 times the error of D at step h;
@@ -554,9 +551,11 @@ def scenario_trace(
 
 
 def _recurrence_time(scenario, controls: DynamicControls) -> float:
-    """T_rec of build_dynamic(scenario, controls): 2 pi over the Y spacing."""
+    """T_rec of build_dynamic(scenario, controls): 2 pi over discretize_continuum's spacing."""
     _check_simulable(scenario)
-    return 2.0 * np.pi / discretize_continuum(scenario.m_y, controls.n_y)[2]
+    if controls.n_y < 1:
+        raise ValueError("need at least one mode")
+    return 2.0 * np.pi / (scenario.m_y.width / controls.n_y)
 
 
 def _default_window(scenario, t_rec: float, expected: float) -> tuple[float, float]:

@@ -136,8 +136,8 @@ class TabulatedDensity(SpectralDensity):
     values: np.ndarray
 
     def __post_init__(self):
-        omega = np.asarray(self.omega, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        omega = np.array(self.omega, dtype=float)
+        values = np.array(self.values, dtype=float)
         if omega.ndim != 1 or omega.shape != values.shape or omega.size < 2:
             raise ValueError("omega and values must be matching 1-d arrays with at least 2 points")
         # compared, not subtracted: a difference can overflow
@@ -145,6 +145,8 @@ class TabulatedDensity(SpectralDensity):
             raise ValueError("omega grid must be strictly increasing")
         if not (np.all(np.isfinite(values)) and np.all(values >= 0)):
             raise ValueError("tabulated values must be finite and nonnegative")
+        # np.interp copies a read-only grid on every call, so it reads writeable copies
+        object.__setattr__(self, "_grid", (omega.copy(), values.copy()))
         omega.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "omega", omega)
@@ -155,8 +157,7 @@ class TabulatedDensity(SpectralDensity):
         return float(self.omega[0]), float(self.omega[-1])
 
     def __call__(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        out = np.interp(omega, self.omega, self.values, left=0.0, right=0.0)
+        out = np.interp(omega, *self._grid, left=0.0, right=0.0)
         return out if out.ndim else float(out)
 
     @property
@@ -273,8 +274,8 @@ class NumericKernel(DissipationKernel):
     defect: float = field(init=False)
 
     def __post_init__(self):
-        eps = np.asarray(self.eps, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        eps = np.array(self.eps, dtype=float)
+        values = np.array(self.values, dtype=float)
         if eps.ndim != 1 or eps.shape != values.shape or eps.size < 2:
             raise ValueError("eps and values must be matching 1-d arrays with at least 2 points")
         steps = np.diff(eps)
@@ -283,6 +284,8 @@ class NumericKernel(DissipationKernel):
             raise NonUniformGridError("numeric kernel requires a uniform eps grid")
         if not np.all(np.isfinite(values)):
             raise ValueError("kernel values must be finite")
+        # np.interp copies a read-only grid on every call, so it reads writeable copies
+        object.__setattr__(self, "_grid", (eps.copy(), values.copy()))
         eps.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "eps", eps)
@@ -290,8 +293,7 @@ class NumericKernel(DissipationKernel):
         object.__setattr__(self, "defect", float(abs(np.trapezoid(values, eps) - 1.0)))
 
     def density(self, eps):
-        eps = np.asarray(eps, dtype=float)
-        out = np.interp(eps, self.eps, self.values, left=0.0, right=0.0)
+        out = np.interp(eps, *self._grid, left=0.0, right=0.0)
         return out if out.ndim else float(out)
 
     @property

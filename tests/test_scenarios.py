@@ -56,6 +56,11 @@ CASCADES = {
         z_resonance=0.0),
     "zero_width": UnstableLevelScenario(m_y=FLAT_Y, omega_f=0.0, lambda_r=0.0),
 }
+# a cascade whose last Y mode sets the full model's energy scale, with a
+# line shift above every energy of its trace model
+OFF_CENTRE_BAND = UnstableLevelScenario(
+    m_y=FlatDensity(level=0.05 / (2.0 * np.pi), support=(0.5, 6.0)), omega_f=1.0,
+    lambda_r=0.01, lambda_i=1.5)
 
 
 class TestScenarioValidation:
@@ -409,17 +414,28 @@ class TestMemoryKernelRoute:
         assert 3.0 < errors[0] / errors[1] < 5.0
 
     def test_full_cascade_is_never_built(self, monkeypatch):
-        build = scenarios._star_model
+        def refuse(model):
+            raise AssertionError("a cascade built a DiscretizedModel")
 
-        def few_modes_only(scenario, y_modes, sector, dim_budget):
-            # one fiducial mode for D, three for the energy scale
-            assert y_modes[0].size <= 3, "the full cascade model was built"
-            return build(scenario, y_modes, sector, dim_budget)
-
-        monkeypatch.setattr(scenarios, "_star_model", few_modes_only)
+        # no model of any size: F, D and the default step come from the sector
+        monkeypatch.setattr(DiscretizedModel, "__post_init__", refuse)
         for scen in CASCADES.values():
             scenario_amplitude(scen, 5.0, self.SMALL)
-        dynamic_gamma(CASCADES["bare_width_with_shift"], DynamicControls(n_y=60, n_z=40))
+            scenario_trace(scen, 5.0, self.SMALL)
+            dynamic_gamma(scen, DynamicControls(n_y=60, n_z=40))
+
+    @pytest.mark.parametrize("name", sorted(CASCADES) + ["off_centre_band"])
+    def test_default_grid_is_the_propagated_models(self, name):
+        # with dt unset, F and D take the samples propagation would take of
+        # the full model and of the trace model
+        scen = OFF_CENTRE_BAND if name == "off_centre_band" else CASCADES[name]
+        trace, _ = scenario_amplitude(scen, 5.0, self.SMALL)
+        full = survival_amplitude(build_dynamic(scen, self.SMALL), 5.0)
+        np.testing.assert_array_equal(trace.times, full.times)
+        if name != "zero_width":  # loses no coherence, so its D is synthesized
+            model = build_trace_model(scen, 5.0, self.SMALL)
+            np.testing.assert_array_equal(scenario_trace(scen, 5.0, self.SMALL).times,
+                                          dissipation_trace(model, 5.0).times)
 
     def test_dimension_budget_counts_the_full_model(self):
         scen = CASCADES["bare_width_with_shift"]
@@ -489,7 +505,7 @@ class TestDissipationByKernel:
 
     @staticmethod
     def propagated(scen, n_z, horizon, n_dt):
-        single = scenarios._star_model(scen, scenarios._single_mode(scen),
+        single = scenarios._star_model(scen, (np.array([scen.omega_f]), np.array([1.0]), None),
                                        scenarios._sector(scen, n_z), 10**4)
         return _sampled_dissipation(single, _uniform_grid(horizon, n_dt), 10**4).values
 
@@ -544,6 +560,15 @@ class TestDissipationByKernel:
         name, value = flag.split("=")
         assert name == STEP_ERROR_WARNING
         assert 0.5 * true_error <= float(value) <= 2.0 * true_error
+
+    def test_refined_chain_over_budget_is_refused(self):
+        # 2.5 horizons of recurrence on the 24 wide band take 191 Z states:
+        # the trace model has the level, the mode and those
+        scen = CASCADES["bare_width_with_shift"]
+        with pytest.raises(DimensionOverBudgetError,
+                           match="^model needs 193 states, budget is 192$"):
+            scenario_trace(scen, 20.0, DynamicControls(n_z=10, dim_budget=192))
+        assert scenario_trace(scen, 20.0, DynamicControls(n_z=10, dim_budget=193)).horizon == 20.0
 
     def test_doubled_step_beyond_unitarity_is_flagged(self):
         # K_0 = 4 on a band 1 wide: the band asks no sub-steps of a step of

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,35 @@ class TestClosedFormKernels:
     def test_lorentzian_rejects_zero_width(self):
         with pytest.raises(ValueError):
             LorentzianKernel(width=0.0)
+
+
+class TestInterpolatedGrids:
+    def test_evaluation_copies_no_grid(self):
+        # np.interp copies a read-only grid on every call: 2 MB here
+        nodes = np.linspace(-50.0, 50.0, 128_001)
+        points = np.linspace(-1.0, 1.0, 48)
+        kernel = NumericKernel(eps=nodes, values=np.exp(-nodes**2), window=10.0)
+        density = TabulatedDensity(omega=nodes, values=np.exp(-nodes**2))
+        for evaluate in (kernel.density, density):
+            evaluate(points)
+            tracemalloc.start()
+            try:
+                evaluate(points)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 2**10
+
+    def test_caller_arrays_stay_writeable(self):
+        omega, values = np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.0])
+        density = TabulatedDensity(omega=omega, values=values)
+        kernel = NumericKernel(eps=omega, values=values, window=1.0)
+        assert omega.flags.writeable and values.flags.writeable
+        for public in (density.omega, density.values, kernel.eps, kernel.values):
+            assert not public.flags.writeable
+        # nor does the caller's edit reach them
+        values[1] = 5.0
+        assert density(1.0) == kernel.density(1.0) == 1.0
 
 
 class TestNumericKernel:
