@@ -29,8 +29,9 @@ F'(t) = -int_0^t K(t - s) F(s) ds exactly (Kofman and Kurizki, Nature 405
 alone, so the full model is never propagated.  Given K' as well, the same
 solve with Euler-Maclaurin end terms is fourth order; that gives the
 dissipation function of a decay mode whose sector is a chain, again with
-no propagation.  The kernel sums over equally spaced energies are chirp-z
-transforms (_chirp_sums), O(N log N) by FFT, with no BLAS call.
+no propagation.  Both solves (_lower_toeplitz_solve) and the kernel sums
+over equally spaced energies, chirp-z transforms (_chirp_sums), are
+O(N log N) by FFT, with no BLAS call.
 """
 
 from __future__ import annotations
@@ -79,8 +80,6 @@ _DENOMINATOR_FLOOR = 1e-12
 _MIN_FIT_SAMPLES = 8
 # |F| may exceed 1 by this much in rounding
 _UNITARITY_TOL = 1e-9
-# rows of the memory-kernel solver solved by one block inverse
-_SOLVE_BLOCK = 64
 _DEFAULT_DIM_BUDGET = 50_000
 # drive phase omega_d h of one CF4:2 step at most
 _DRIVE_PHASE_STEP = 0.5
@@ -141,8 +140,8 @@ class DiscretizedModel:
     xi_spacing: float | None = None
 
     def __post_init__(self):
-        h0 = np.asarray(self.h0_diag, dtype=float)
-        v = np.asarray(self.v_xi, dtype=complex)
+        h0 = np.array(self.h0_diag, dtype=float)
+        v = np.array(self.v_xi, dtype=complex)
         n = h0.size
         if h0.ndim != 1 or n < 2:
             raise ValueError("h0_diag must be a 1-d array with at least 2 entries")
@@ -194,8 +193,8 @@ class AmplitudeTrace:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=complex)
+        times = np.array(self.times, dtype=float)
+        values = np.array(self.values, dtype=complex)
         if times.ndim != 1 or times.shape != values.shape or times.size < 2:
             raise ValueError("times and values must be matching 1-d arrays")
         if times[0] != 0.0 or values[0] != 1.0:
@@ -624,42 +623,41 @@ def _sampled_dissipation(model, times, dim_budget) -> DissipationTrace:
     )
 
 
+def _fft_product(a, spectrum):
+    """ifft(fft(a) * spectrum), a zero-padded to the spectrum's length."""
+    work = fft.fft(a, spectrum.size)
+    work *= spectrum
+    return fft.ifft(work, overwrite_x=True)
+
+
 def _lower_toeplitz_solve(w, r):
     """x with x_i + sum_{p < i} w[i - p] x_p = r_i, for w[0] = 0; r is overwritten.
 
-    Divide and conquer (Hairer, Lubich and Schlichte, SIAM J. Sci. Stat.
-    Comput. 6 (1985) 532): the first half is solved, its share of the
-    second half's sums is one FFT convolution, and the second half is
-    solved; blocks of _SOLVE_BLOCK rows take the block inverse, itself
-    lower-triangular Toeplitz.  O(N log^2 N), with no BLAS call, so the
-    bits do not depend on the BLAS build or its threads.
+    The inverse is lower-triangular Toeplitz with first column u = 1/(1 + w(z)).
+    Newton doubling (Kung, Numer. Math. 22 (1974) 341) takes u from k to
+    m <= 2k terms as u[k:m] = -(u * e)[:m - k], e = (w * u)[k:m], by FFT
+    products of length m, whose cyclic wrap lands below k.  u to ceil(n/2)
+    terms inverts each half of the system in turn, and the first half's
+    share of the second's sums is one more product.  O(N log N), with no
+    BLAS call, so the bits do not depend on the BLAS build or its threads.
     """
     n = r.size
-    b = min(_SOLVE_BLOCK, n)
-    u = np.zeros(b, dtype=complex)
+    h = (n + 1) // 2
+    # u is padded to the transform length, so its transform can replace it
+    u = np.zeros(fft.next_fast_len(n), dtype=complex)
     u[0] = 1.0
-    for i in range(1, b):
-        u[i] = -(w[i:0:-1] * u[:i]).sum()
-    lag = np.subtract.outer(np.arange(b), np.arange(b))
-    inverse = np.where(lag >= 0, u[np.maximum(lag, 0)], 0.0)
-
-    def solve(lo, hi):
-        if hi - lo <= b:
-            r[lo:hi] = (inverse[: hi - lo, : hi - lo] * r[lo:hi]).sum(axis=1)
-            return
-        mid = lo + b * -(-(hi - lo) // (2 * b))
-        solve(lo, mid)
-        # rows mid - lo .. hi - lo - 1 of the convolution take no wrapped
-        # terms at any transform length of hi - lo or more
-        size = fft.next_fast_len(hi - lo)
-        spectrum = fft.fft(r[lo:mid], size) * fft.fft(w[: hi - lo], size)
-        r[mid:hi] -= fft.ifft(spectrum)[mid - lo : hi - lo]
-        solve(mid, hi)
-
-    solve(0, n)
-    # solve holds itself through its closure; unbinding it frees the cycle,
-    # and the arrays it holds, now rather than at the next full collection
-    del solve
+    k = 1
+    # m runs over ceil(h / 2^s) down to s = 0, so each step at most doubles k
+    for shift in range((h - 1).bit_length() - 1, -1, -1):
+        m = -(-h >> shift)
+        spectrum = fft.fft(u[:k], fft.next_fast_len(m))
+        u[k:m] = -_fft_product(_fft_product(w[:m], spectrum)[k:m], spectrum)[: m - k]
+        k = m
+    spectrum = fft.fft(u, overwrite_x=True)
+    r[:h] = _fft_product(r[:h], spectrum)[:h]
+    # the wrap of this product lands below h
+    r[h:] -= _fft_product(r[:h], fft.fft(w[:n], spectrum.size))[h:n]
+    r[h:] = _fft_product(r[h:], spectrum)[: n - h]
 
 
 def _volterra_solve(h, kernel, slope=None):
@@ -674,7 +672,9 @@ def _volterra_solve(h, kernel, slope=None):
     quadratures make it fourth order; those of the G integral involve only
     K, because k1(0) = 0 and G'(0) = 0.  The steps form a lower-triangular
     Toeplitz system either way.  A step too coarse for the kernel can lift
-    |G| above 1, which raises StepTooLargeError.
+    |G| above 1, which raises StepTooLargeError.  The peak memory, k1, h k1,
+    G and the solver's three transforms at 16 bytes a point each, is under
+    100 bytes a step (next_fast_len(N - 1) <= 1.04 N for N >= 200).
     """
     n = kernel.size
     k1 = np.zeros(n, dtype=complex)
@@ -704,7 +704,7 @@ def memory_kernel_amplitude(times: np.ndarray, kernel: np.ndarray) -> AmplitudeT
 
     kernel[j] is K(times[j]), and times starts at 0.  The trapezoid rule on
     the integrated form (_volterra_solve) is second order in the spacing,
-    and its lower-triangular Toeplitz system is solved in O(N log^2 N) for
+    and its lower-triangular Toeplitz system is solved in O(N log N) for
     N samples.  A step too coarse for the kernel can lift |F| above 1,
     which raises StepTooLargeError.
     """

@@ -318,8 +318,8 @@ class DissipationTrace:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=complex)
+        times = np.array(self.times, dtype=float)
+        values = np.array(self.values, dtype=complex)
         if times.ndim != 1 or times.shape != values.shape or times.size < 2:
             raise ValueError("times and values must be matching 1-d arrays with at least 2 points")
         if times[0] != 0.0:

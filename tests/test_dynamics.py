@@ -140,6 +140,14 @@ class TestModelValidation:
         bare = two_level()
         assert bare.recurrence_time is None
 
+    def test_caller_arrays_stay_writeable(self):
+        h0, v = np.array([0.0, 1.0, 2.0]), np.array([0.5, 0.5], dtype=complex)
+        model = DiscretizedModel(h0_diag=h0, v_xi=v)
+        assert h0.flags.writeable and v.flags.writeable
+        assert not model.h0_diag.flags.writeable and not model.v_xi.flags.writeable
+        h0[1] = 7.0
+        assert model.h0_diag[1] == 1.0
+
 
 class TestDiscretization:
     def test_midpoint_grid_and_couplings(self):
@@ -492,6 +500,14 @@ class TestAmplitudeTrace:
         with pytest.raises(ValueError):
             AmplitudeTrace(times=t, values=values)
 
+    def test_caller_arrays_stay_writeable(self):
+        t, values = np.linspace(0.0, 1.0, 5), np.full(5, 1.0 + 0j)
+        trace = AmplitudeTrace(times=t, values=values)
+        assert t.flags.writeable and values.flags.writeable
+        assert not trace.times.flags.writeable and not trace.values.flags.writeable
+        values[1] = 0.5
+        assert trace.values[1] == 1.0
+
 
 class TestFitDecay:
     @staticmethod
@@ -671,19 +687,48 @@ class TestMemoryKernelSolver:
         assert trace.values[0] == 1.0
         assert np.abs(trace.values - np.cos(0.5 * t)).max() < 1e-5
 
-    @pytest.mark.parametrize("n", [2, 3, 64, 65, 66, 129, 300, 1031])
-    def test_divide_and_conquer_equals_forward_substitution(self, n):
-        # block and half boundaries of the solver fall at multiples of 64
+    def test_long_solve_converges_at_second_order(self):
+        # enough steps for many doublings of the series inverse
+        lam, kappa = 0.5, 0.3 + 0.8j
+        errors = []
+        for n in (16384, 32768, 65536):
+            t = np.linspace(0.0, 20.0, n + 1)
+            trace = memory_kernel_amplitude(t, lam**2 * np.exp(-kappa * t))
+            exact = self.exponential_kernel_amplitude(t, lam, kappa)
+            errors.append(np.abs(trace.values - exact).max())
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.5 < coarse / fine < 4.5
+
+    @pytest.mark.parametrize(
+        "n", [2, 3, 4, 5, 63, 64, 65, 66, 129, 300, 1023, 1024, 1025, 1031, 4097]
+    )
+    def test_solve_equals_forward_substitution(self, n):
+        # the series inverse doubles its terms up to ceil((n - 1) / 2), and
+        # the rows split there; powers of two and their neighbours cover
+        # every way the doubling and the split can end
         t = np.linspace(0.0, 0.02 * (n - 1), n)
         kernel = 0.25 * np.exp(-(0.3 + 0.8j) * t) + 0.1 * np.exp(-3j * t)
         h = t[1]
         k1 = np.concatenate(([0.0], np.cumsum(0.5 * h * (kernel[1:] + kernel[:-1]))))
-        expected = np.ones(n, dtype=complex)
-        for j in range(1, n):
-            history = sum(h * k1[j - m] * expected[m] for m in range(1, j))
-            expected[j] = 1.0 - 0.5 * h * k1[j] - history
+        expected = 1.0 - 0.5 * h * k1
+        for j in range(2, n):
+            expected[j] -= h * (k1[j - 1 : 0 : -1] * expected[1:j]).sum()
         trace = memory_kernel_amplitude(t, kernel)
         assert np.abs(trace.values - expected).max() < 1e-14
+
+    def test_solve_memory_stays_under_its_stated_bound(self):
+        # _volterra_solve's docstring: under 100 bytes per step
+        n = 2**18
+        h = 20.0 / n
+        kernel = 0.25 * np.exp(-(0.3 + 0.8j) * h * np.arange(n))
+        dynamics._volterra_solve(h, kernel[:1024])
+        tracemalloc.start()
+        try:
+            dynamics._volterra_solve(h, kernel)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * n
 
     def test_step_beyond_unitarity_is_refused(self):
         # K = 1/4 at a step of 10: F_1 = 1 - 12.5, far outside |F| <= 1

@@ -185,6 +185,14 @@ class TestDissipationTrace:
         assert trace.spacing == pytest.approx(0.01)
         assert trace.horizon == pytest.approx(2.0)
 
+    def test_caller_arrays_stay_writeable(self):
+        t, values = np.linspace(0.0, 1.0, 5), np.full(5, 1.0 + 0j)
+        trace = DissipationTrace(times=t, values=values)
+        assert t.flags.writeable and values.flags.writeable
+        assert not trace.times.flags.writeable and not trace.values.flags.writeable
+        values[1] = 0.5
+        assert trace.values[1] == 1.0
+
 
 class TestKernelFromDissipation:
     def test_exponential_matches_lorentzian(self):
