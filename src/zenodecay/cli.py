@@ -440,25 +440,13 @@ def _format_cell(value) -> str:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return repr(float(value))
 
 
 def render_rows(rows: list[dict], columns: list[str], fmt: str) -> str:
     """Serialize report rows; CSV floats use shortest round-trip decimals."""
     if fmt == "json":
-        payload = []
-        for row in rows:
-            entry = {}
-            for col in columns:
-                value = row.get(col)
-                if isinstance(value, (np.integer,)):
-                    value = int(value)
-                elif isinstance(value, (np.floating,)):
-                    value = float(value)
-                entry[col] = value
-            payload.append(entry)
+        payload = [{col: row.get(col) for col in columns} for row in rows]
         return json.dumps(payload, indent=2) + "\n"
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")

@@ -578,7 +578,8 @@ def dissipation_trace(
     free evolution, checked for zeros before anything is propagated.  For
     driven models the run is repeated with the drive's clock shifted by a
     quarter period, and the spread between the two traces (micromotion) is
-    attached as a warning when it is visible.
+    attached as a warning when it is visible.  |D| <= 1 holds for one coupled
+    mode; a model of several whose D leaves it raises ValueError.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -611,6 +612,10 @@ def _sampled_dissipation(model, times, dim_budget) -> DissipationTrace:
         return np.fromiter((state @ bra for state in states), complex, times.size)
 
     values = overlap(_sampled_states(uncoupled, times, dim_budget, phi)) / denominator
+    coupled, peak = np.count_nonzero(model.v_xi), np.abs(values).max()
+    if coupled > 1 and peak > 1.0 + 1e-8:
+        raise ValueError(f"|D| reaches {peak:.4g}: the level couples to "
+                         f"{coupled} modes, and |D| <= 1 holds for one coupled mode")
     flags = []
     if model.drive is not None and model.drive.frequency > 0:
         period = 2.0 * np.pi / model.drive.frequency

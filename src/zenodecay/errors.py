@@ -59,10 +59,10 @@ class StepTooLargeError(ZenoError):
 
 
 class DimensionOverBudgetError(ZenoError):
-    """A model, grid or solve larger than its cap.
+    """A model, grid or memory-kernel array larger than its cap.
 
-    The model dimension exceeds the configured budget, a time grid needs
-    more than 2**53 steps, or a memory-kernel solve more than 4,000,000.
+    A built model has more states than its dim_budget, a time grid more
+    than 2**53 steps, or a memory-kernel route array more than 4,000,000 points.
     """
 
     slug = "dimension_over_budget"

@@ -24,7 +24,8 @@ tau) G with G' = -int K_z G and K_z summing the Z couplings, so no model
 is propagated for it either; ``scenario_trace`` gives a cascade's D the
 same way.  C, K_z and F are taken at every dt step (K_z and G on finer
 sub-steps where the Z band needs them), and F is kept on the samples a
-propagation would keep.  No model of any size is built on that route.
+propagation would keep.  No model is built on that route, so dim_budget
+does not bound it: one cap bounds each array it sizes, before allocation.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ from .dynamics import (
 # unused here since dynamic_gamma keeps only the survival amplitude;
 # perfbench/test_gate.py still checks that scenarios.propagate is patched
 from .dynamics import propagate  # noqa: F401
-from .errors import DimensionOverBudgetError, NonUniformGridError, StepTooLargeError
+from .errors import (DimensionOverBudgetError, IllConditionedFitError, NonUniformGridError,
+                     StepTooLargeError)
 from .rates import DecayRateResult, perturbed_gamma
 from .spectral import (
     DiracKernel,
@@ -92,9 +94,10 @@ STEP_ERROR_WARNING = "step_error"
 # relative step error of a memory-kernel gamma above which the row is flagged
 _STEP_ERROR_LIMIT = 1e-4
 
-# steps of a memory-kernel solve, D's sub-steps included, at most: a solve
-# peaks at about 160 bytes a step, so this bounds it near 0.65 GB
-_MAX_KERNEL_STEPS = 4_000_000
+# points of any array the memory-kernel route sizes, at most: Y or Z modes,
+# solve steps (D's sub-steps included), chirp-z sum steps plus modes.  A
+# solve peaks at about 160 bytes a step, so this bounds it near 0.65 GB
+_MAX_KERNEL_POINTS = 4_000_000
 
 # flat stand-in band for a bare width: wide enough that the truncation
 # shifts the realized width by under 2% (checked against the closed form)
@@ -366,59 +369,69 @@ def _star_model(scenario, y_modes, sector, dim_budget: int) -> DiscretizedModel:
     )
 
 
-def _chain_dissipation(scenario, n_z: int, horizon: float, n_dt: int):
-    """(D at the n_dt + 1 steps j horizon / n_dt, D at every other step or None).
+def _capped(points: int, what: str) -> int:
+    """points, refused with DimensionOverBudgetError above _MAX_KERNEL_POINTS."""
+    if points > _MAX_KERNEL_POINTS:
+        raise DimensionOverBudgetError(f"{what} needs {points} points, "
+                                       f"at most {_MAX_KERNEL_POINTS}")
+    return points
 
-    D(tau) of one Y mode in its cascade sector is exp(i lambda_i tau) G,
-    where G' = -int K_z G exactly, with K_z(tau) = sum_z w_z^2
-    exp(-i eps_z tau) over the Z chain; no model is propagated.  K_z and
-    K_z' are chirp-z sums on sub-steps of at most 0.5 / max |eps_z|, r to a
-    step, and G is solved on them at fourth order and kept on every r-th.
-    The second D is solved again on every other sub-step, so it is None on
-    a grid of under 3 steps and when that doubled step lifts |G| above 1.
-    More than _MAX_KERNEL_STEPS sub-steps raise DimensionOverBudgetError
-    before anything the grid's length sizes is allocated.
+
+def _step_flags(error: float | None) -> tuple[str, ...]:
+    """The step_error warning of an error estimate above 1e-4, else none."""
+    if error is not None and error > _STEP_ERROR_LIMIT:
+        return (f"{STEP_ERROR_WARNING}={error:.3g}",)
+    return ()
+
+
+def _chain_dissipation(scenario, n_z: int, horizon: float, dt, y_modes):
+    """(n_dt, stride, D at step h, D at step 2h or None) of one Y mode's cascade sector.
+
+    The grid is propagation's of the model whose Y modes, y_modes =
+    (energies, couplings), each carry the sector; its energy scale is read
+    off the sector's offsets from the extreme energies.  D(tau) is
+    exp(i lambda_i tau) G, G' = -int K_z G, K_z(tau) = sum_z w_z^2
+    exp(-i eps_z tau).  K_z and K_z' are chirp-z sums on r sub-steps a
+    step, each at most 0.5 / max |eps_z|, where G is solved at fourth order
+    and, for D at 2h, again on every other one (None on under 3 steps or
+    when that lifts |G| above 1).  Every array is capped before allocation.
     """
-    eps, w_z, spacing = _z_chain(scenario, n_z)
+    lambda_i = getattr(scenario, "lambda_i", 0.0)
+    eps, w_z, spacing = _z_chain(scenario, _capped(n_z, "Z chain"))
+    energies, couplings = y_modes
+    offsets = np.concatenate(([0.0], eps - lambda_i))  # as _sector's
+    h0 = np.concatenate(([scenario.omega_f], (energies + offsets[:, None]).ravel()))
+    n_dt, stride = _grid_steps(horizon, dt,
+                               _energy_scale(h0, np.concatenate((couplings, w_z, [lambda_i]))))
     step = horizon / n_dt
     sub = max(1, math.ceil(step * np.abs(eps).max(initial=0.0) / _DRIVE_PHASE_STEP))
-    if n_dt * sub + 1 > _MAX_KERNEL_STEPS:
-        raise DimensionOverBudgetError(f"memory-kernel solve needs {n_dt * sub + 1} steps, "
-                                       f"at most {_MAX_KERNEL_STEPS}")
+    n = _capped(n_dt * sub + 1, "memory-kernel solve")
+    _capped(n + eps.size, "chirp-z sum")
     weights = w_z * w_z
     first = eps[0] if eps.size else 0.0
-    kernel, slope = _chirp_sums(first, spacing, [weights, -1j * eps * weights],
-                                step / sub, n_dt * sub + 1)
+    kernel, slope = _chirp_sums(first, spacing, [weights, -1j * eps * weights], step / sub, n)
     # exact for lambda_i = 0, where the phase is 1
-    phase = np.exp(1j * getattr(scenario, "lambda_i", 0.0) * _uniform_grid(horizon, n_dt))
+    phase = np.exp(1j * lambda_i * _uniform_grid(horizon, n_dt))
     d_h = phase * _volterra_solve(step / sub, kernel, slope)[::sub]
-    if n_dt < 2:
-        return d_h, None
-    try:
-        g_2h = _volterra_solve(2.0 * step / sub, kernel[::2], slope[::2])
-    except StepTooLargeError:
-        return d_h, None
-    return d_h, phase[::2] * g_2h[::sub]
+    d_2h = None
+    if n_dt >= 2:
+        with contextlib.suppress(StepTooLargeError):
+            d_2h = phase[::2] * _volterra_solve(2.0 * step / sub, kernel[::2],
+                                                slope[::2])[::sub]
+    return n_dt, stride, d_h, d_2h
 
 
 def _cascade_amplitude(scenario, horizon: float, controls: DynamicControls):
-    """F(t) of the cascade's full model by its memory kernel K = C D.
+    """scenario_amplitude of a cascade, by its memory kernel K = C D.
 
-    The samples are those survival_amplitude takes on the full model, whose
-    energy scale sets the default dt.  That scale is read off the sector:
-    omega ascends, so the extreme |h0| entries sit on the first and last Y
-    modes, each shifted by every sector offset.  F is solved on every step
-    of spacing about dt, not only on the samples, and again at twice that
-    step, from D at twice its step, for the error estimate.
+    F is solved on every step of _chain_dissipation's grid for the Y band,
+    and at twice that step from D at 2h.  Every array is capped first.
     """
-    omega, v, dy = discretize_continuum(scenario.m_y, controls.n_y)
-    offsets, w, _ = _sector(scenario, controls.n_z)
-    _check_budget(1 + omega.size * offsets.size, controls.dim_budget)
-    h0 = np.concatenate(([scenario.omega_f], (omega[[0, -1]] + offsets[:, None]).ravel()))
-    n_dt, stride = _grid_steps(horizon, controls.dt, _energy_scale(h0, v, w))
-    # first, as it refuses a grid too long for memory
-    d_h, d_2h = _chain_dissipation(scenario, controls.n_z, horizon, n_dt)
+    omega, v, dy = discretize_continuum(scenario.m_y, _capped(controls.n_y, "Y band"))
+    n_dt, stride, d_h, d_2h = _chain_dissipation(scenario, controls.n_z, horizon, controls.dt,
+                                                 (omega[[0, -1]], v))
     steps = _uniform_grid(horizon, n_dt)
+    _capped(steps.size + omega.size, "chirp-z sum")
     # C(tau) = sum_k |v_k|^2 exp(-i (omega_k - E0) tau)
     correlation = _chirp_sums(omega[0] - scenario.omega_f, dy, v * v, horizon / n_dt,
                               steps.size)
@@ -436,9 +449,7 @@ def _cascade_amplitude(scenario, horizon: float, controls: DynamicControls):
         with contextlib.suppress(StepTooLargeError):
             f_2h = _volterra_solve(twice[-1] / (twice.size - 1), correlation[::2] * d_2h)[::thin]
             error = float(np.abs(f_h - f_2h).max()) / 3.0
-    if error > _STEP_ERROR_LIMIT:
-        trace = replace(trace, warnings=(f"{STEP_ERROR_WARNING}={error:.3g}",))
-    return trace, (times, f_h, f_2h)
+    return replace(trace, warnings=_step_flags(error)), (times, f_h, f_2h)
 
 
 def _check_simulable(scenario) -> None:
@@ -532,22 +543,17 @@ def scenario_trace(
         return dissipation_trace(build_trace_model(scenario, horizon, controls), horizon,
                                  controls.dt, dim_budget=controls.dim_budget)
     _check_simulable(scenario)
-    n_z = _trace_n_z(scenario, horizon, controls.n_z)
-    offsets, w, _ = _sector(scenario, n_z)
-    # build_trace_model's state count, and the samples dissipation_trace takes
-    _check_budget(1 + offsets.size, controls.dim_budget)
-    n_dt, stride = _grid_steps(horizon, controls.dt,
-                               _energy_scale(scenario.omega_f + offsets, (), w))
-    d_h, d_2h = _chain_dissipation(scenario, n_z, horizon, n_dt)
-    flags = ()
+    # the trace model's grid: its one mode at omega_f, its decay coupling off
+    n_dt, stride, d_h, d_2h = _chain_dissipation(
+        scenario, _trace_n_z(scenario, horizon, controls.n_z), horizon, controls.dt,
+        (np.array([scenario.omega_f]), ()))
+    error = None
     if n_dt >= 2:
         # fourth order: the gap is about 15 times the error of D at step h;
         # a doubled step that breaks |D| <= 1 bounds nothing
         error = math.inf if d_2h is None else float(np.abs(d_h[::2] - d_2h).max()) / 15.0
-        if error > _STEP_ERROR_LIMIT:
-            flags = (f"{STEP_ERROR_WARNING}={error:.3g}",)
     return DissipationTrace(times=_uniform_grid(horizon, n_dt, stride), values=d_h[::stride],
-                            label=scenario.label, warnings=flags)
+                            label=scenario.label, warnings=_step_flags(error))
 
 
 def _recurrence_time(scenario, controls: DynamicControls) -> float:
@@ -584,8 +590,9 @@ def _step_error(check, window) -> float | None:
 
     Both are fitted on the check's times, the window clipped to their end;
     None as well when the clipped window holds too few of them for a fit,
-    and inf when F at 2h left |F| <= 1.  The trapezoid rule is second
-    order, so the gap is about three times the error of gamma(h).
+    and inf when F at 2h left |F| <= 1 or either fit fails, so it fails no
+    row.  The trapezoid rule is second order: the gap is about 3 times the
+    error of gamma(h).
     """
     if check is None:
         return None
@@ -595,10 +602,12 @@ def _step_error(check, window) -> float | None:
         return None
     if f_2h is None:
         return math.inf
-    g_h, g_2h = (
-        2.0 * fit_decay(AmplitudeTrace(times=times, values=f), (t_a, t_b))[1].gamma_complex.real
-        for f in (f_h, f_2h)
-    )
+    # Re gamma_complex: gamma's factor 2 cancels in the ratio
+    try:
+        g_h, g_2h = (fit_decay(AmplitudeTrace(times=times, values=f), (t_a, t_b))[1]
+                     .gamma_complex.real for f in (f_h, f_2h))
+    except (IllConditionedFitError, ValueError):
+        return math.inf
     gap = abs(g_h - g_2h)
     return gap / (3.0 * abs(g_h)) if gap else 0.0
 
@@ -626,9 +635,7 @@ def dynamic_gamma(
     gamma0 = 2.0 * math.pi * scenario.m_y(scenario.omega_f)
     result, diagnostics = fit_decay(trace, window, recurrence_time=t_rec, gamma0=gamma0)
     diagnostics = replace(diagnostics, step_error=_step_error(check, window))
-    flags = _scenario_warnings(scenario)
-    if diagnostics.step_error is not None and diagnostics.step_error > _STEP_ERROR_LIMIT:
-        flags += (f"{STEP_ERROR_WARNING}={diagnostics.step_error:.3g}",)
+    flags = _scenario_warnings(scenario) + _step_flags(diagnostics.step_error)
     if flags:
         result = replace(result, warnings=result.warnings + flags)
     return result, diagnostics

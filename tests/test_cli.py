@@ -810,6 +810,17 @@ class TestMain:
     def test_missing_file_is_config_error(self, capsys):
         assert main(["validate", "/nonexistent/config.json"]) == 2
 
+    def test_invalid_json_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"schema_version": 1,')
+        assert main(["validate", str(path)]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
+    def test_out_into_a_missing_directory_is_an_io_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, rabi_config())
+        assert main(["kernel", cfg, "--out", str(tmp_path / "missing" / "kernel.csv")]) == 1
+        assert capsys.readouterr().err.startswith("io error: ")
+
     def test_kernel_atoms(self, tmp_path, capsys):
         cfg = write_config(tmp_path, rabi_config())
         assert main(["kernel", cfg]) == 0
@@ -847,7 +858,7 @@ class TestMain:
     def test_kernel_rejects_oversized_or_overflowing_range(self, tmp_path, capsys):
         cfg = write_config(tmp_path, rabi_config(scenario=dict(SHIFT_ONLY, lambda_r=1.0),
                                                  sweep=None))
-        for spec in ("-1:1:100000000000000000000", "-1.7e308:1.7e308:5"):
+        for spec in ("-1:1:100000000000000000000", "-1.7e308:1.7e308:5", "a:1:5"):
             assert main(["kernel", cfg, f"--range={spec}"]) == 2
             captured = capsys.readouterr()
             assert captured.err.startswith("config error: --range")
@@ -906,6 +917,19 @@ class TestMain:
         trace, _ = scenario_amplitude(config.scenario, 5.0, config.controls)
         assert [float(row[0]) for row in data] == list(trace.times)
         assert [complex(float(row[1]), float(row[2])) for row in data] == list(trace.values)
+
+    def test_trace_renders_json(self, tmp_path, capsys):
+        scenario = {"kind": "unstable", "m_y": dict(FLAT_Y), "omega_f": 0.0,
+                    "lambda_r": 0.3}
+        cfg = write_config(tmp_path, rabi_config(scenario=scenario, sweep=None,
+                                                 dynamic={"n_y": 100, "n_z": 50}))
+        assert main(["trace", cfg, "--quantity", "F", "--horizon", "5", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        config = load_config(cfg, require_sweep=False)
+        trace, _ = scenario_amplitude(config.scenario, 5.0, config.controls)
+        assert [row["time"] for row in rows] == list(trace.times)
+        assert [complex(row["real"], row["imag"]) for row in rows] == list(trace.values)
+        assert [row["abs"] for row in rows] == list(np.abs(trace.values))
 
     def test_trace_cascade_amplitude_warns_of_a_coarse_step(self, tmp_path, capsys):
         scenario = {"kind": "unstable", "m_y": dict(FLAT_Y), "omega_f": 0.0,

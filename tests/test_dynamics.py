@@ -594,6 +594,15 @@ class TestDissipationTrace:
         trace = dissipation_trace(model, 10.0)
         assert np.abs(trace.values - 1.0).max() <= 1e-10
 
+    @pytest.mark.parametrize("horizon", [10.0, 20.0])
+    def test_several_coupled_modes_can_leave_the_unit_disk(self, horizon):
+        # 15 coupled modes: |D| reaches 1.0047 by tau 10 and 2.04 by 20,
+        # while the denominator stays above 0.17
+        model = chain_model(np.random.default_rng(7))
+        assert dissipation_trace(model, 4.0).horizon == 4.0
+        with pytest.raises(ValueError, match=r"couples to 15 modes, and \|D\| <= 1 holds for one"):
+            dissipation_trace(model, horizon)
+
     def test_requires_coupling_and_positive_horizon(self):
         model = two_level()
         with pytest.raises(ValueError):

@@ -241,6 +241,50 @@ class TestNumericKernelQuadrature:
         assert result.gamma == 0.0
 
 
+class TestTabulatedDensityQuadrature:
+    """Rates on a 200-knot table, whose panels split at every knot."""
+
+    RNG = np.random.default_rng(3)
+    TABLE = TabulatedDensity(
+        omega=np.sort(np.concatenate(([0.0, 3.0], RNG.uniform(0.0, 3.0, 198)))),
+        values=RNG.uniform(0.0, 0.1, 200))
+
+    @pytest.mark.parametrize("width", [1e-3, 0.1, 10.0])
+    @pytest.mark.parametrize("on_knot", [False, True])
+    def test_lorentzian_matches_linear_pieces(self, width, on_knot):
+        knots, values = self.TABLE.omega, self.TABLE.values
+        center = knots[117] if on_knot else 0.5 * (knots[117] + knots[118])
+        # on [lo, hi] the table is a + b omega, and the rate integral of
+        # (a + b omega) (lam/pi) / ((omega - c)^2 + lam^2) is (a + b c)/pi
+        # d arctan((omega - c)/lam) + b lam/(2 pi) d ln((omega - c)^2 + lam^2)
+        lo, hi = knots[:-1], knots[1:]
+        b = np.diff(values) / (hi - lo)
+        at_center = values[:-1] + b * (center - lo)
+        # both differences without cancellation
+        arctan = np.arctan2((hi - lo) / width, 1.0 + (lo - center) * (hi - center) / width**2)
+        log = np.log1p((hi - lo) * (hi + lo - 2.0 * center) / ((lo - center) ** 2 + width**2))
+        exact = 2.0 * np.sum(at_center * arctan + 0.5 * b * width * log)
+        result = perturbed_gamma(self.TABLE, LorentzianKernel(width), center)
+        assert result.gamma == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_sampled_kernel_matches_panel_integrals(self):
+        omega_f = 1.3
+        kernel = build_analytic(ScatteringScenario(m_y=self.TABLE, omega_f=omega_f, rate=1.0))
+        result = perturbed_gamma(self.TABLE, kernel, omega_f)
+        # the table times the kernel's interpolant is quadratic between the
+        # merged knots and nodes, where Simpson's rule is exact
+        nodes = kernel.eps + omega_f
+        edges = np.union1d(self.TABLE.omega, nodes[(nodes > 0.0) & (nodes < 3.0)])
+        lo, hi = edges[:-1], edges[1:]
+
+        def f(x):
+            return self.TABLE(x) * kernel.density(x - omega_f)
+
+        simpson = (hi - lo) / 6.0 * (f(lo) + 4.0 * f(0.5 * (lo + hi)) + f(hi))
+        exact = 2.0 * np.pi * np.sum(simpson)
+        assert result.gamma == pytest.approx(exact, rel=1e-10, abs=0.0)
+
+
 class TestUnstableLevel:
     def test_matches_lorentzian_route(self):
         dens = PowerLawDensity(amplitude=0.5, exponent=2.0, support=(0.0, 3.0))

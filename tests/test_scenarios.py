@@ -353,6 +353,17 @@ class TestTwoRouteAgreement:
         # a propagated amplitude has the norm-drift guard, not a step error
         assert diag.step_error is None
 
+    def test_zeno_cascade_at_the_default_budget(self):
+        # a Z kernel 10 wide against a Y band 10 wide: its Z chain refined to
+        # clear 2.5 windows of recurrence, far more states than dim_budget
+        width = 10.0
+        scen = UnstableLevelScenario(
+            m_y=FLAT_Y, omega_f=0.0, z_resonance=0.0,
+            m_z=FlatDensity(level=width / np.pi, support=(-40.0 * width, 40.0 * width)))
+        dynamic, diag = dynamic_gamma(scen, DynamicControls(n_y=120, n_z=9600))
+        assert dynamic.gamma == pytest.approx(analytic_gamma(scen).gamma, rel=0.01)
+        assert diag.step_error < 1e-4
+
     def test_explicit_window_needs_no_rate_integral(self, monkeypatch):
         # the rate integral only places a default window
         scen = CASCADES["bare_width_with_shift"]
@@ -437,14 +448,45 @@ class TestMemoryKernelRoute:
             np.testing.assert_array_equal(scenario_trace(scen, 5.0, self.SMALL).times,
                                           dissipation_trace(model, 5.0).times)
 
-    def test_dimension_budget_counts_the_full_model(self):
+    def test_dimension_budget_leaves_the_kernel_route_alone(self):
+        # the full model, 1 + 10**4 (1 + 10**4) states, is never built, so
+        # the default budget does not refuse it
         scen = CASCADES["bare_width_with_shift"]
-        # 1 + 10**4 * (1 + 10**4) states: refused before any grid of that size
-        with pytest.raises(DimensionOverBudgetError, match="100010001 states"):
-            dynamic_gamma(scen, DynamicControls(n_y=10**4, n_z=10**4))
-        with pytest.raises(DimensionOverBudgetError):
-            scenario_amplitude(scen, 5.0, replace(self.SMALL, dim_budget=220))
-        scenario_amplitude(scen, 5.0, replace(self.SMALL, dim_budget=221))
+        result, _ = dynamic_gamma(scen, DynamicControls(n_y=10**4, n_z=10**4))
+        assert result.gamma == pytest.approx(analytic_gamma(scen).gamma, rel=0.07)
+        tight, _ = scenario_amplitude(scen, 5.0, replace(self.SMALL, dim_budget=1))
+        np.testing.assert_array_equal(tight.values,
+                                      scenario_amplitude(scen, 5.0, self.SMALL)[0].values)
+
+    @pytest.mark.parametrize("quantity, n_y, n_z, dt, horizon, message", [
+        ("F", 101, 10, None, 5.0, "Y band needs 101 points"),
+        ("D", 20, 101, None, 5.0, "Z chain needs 101 points"),
+        ("D", 20, 10, 0.05, 5.0, "memory-kernel solve needs 101 points"),
+        ("D", 20, 10, 0.05, 4.95, "chirp-z sum needs 110 points"),
+        ("F", 20, 10, 0.05, 4.0, "chirp-z sum needs 101 points"),
+    ])
+    def test_every_array_counts_against_the_cap(self, monkeypatch, quantity, n_y, n_z, dt,
+                                                horizon, message):
+        # a Z band 1 wide asks no sub-steps of a step of 0.05: D's solve has
+        # n_dt + 1 points, its chirp-z sum n_z more and F's n_y more
+        monkeypatch.setattr(scenarios, "_MAX_KERNEL_POINTS", 100)
+        scen = TestDissipationByKernel.NARROW
+        controls = DynamicControls(n_y=n_y, n_z=n_z, dt=dt)
+        run = scenario_trace if quantity == "D" else scenario_amplitude
+        with pytest.raises(DimensionOverBudgetError, match=f"^{message}, at most 100$"):
+            run(scen, horizon, controls)
+
+    @pytest.mark.parametrize("n_y, n_z", [(10**7, 10), (20, 10**7)])
+    def test_modes_over_the_cap_are_refused_before_allocating(self, n_y, n_z):
+        scen = CASCADES["bare_width_with_shift"]
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionOverBudgetError, match="needs 10000000 points"):
+                dynamic_gamma(scen, DynamicControls(n_y=n_y, n_z=n_z))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     @pytest.mark.parametrize("dt", [None, 0.05])
     def test_step_error_estimates_the_true_error(self, dt):
@@ -481,6 +523,21 @@ class TestMemoryKernelRoute:
         assert trace.times.tolist() == [0.0, 0.05]
         assert check is None
 
+    @pytest.mark.parametrize("n_y, dt, has_f_2h", [(200, 1.2, True), (400, 1.2, True),
+                                                   (100, 0.8, False)])
+    def test_check_that_bounds_nothing_leaves_the_row_ok(self, n_y, dt, has_f_2h):
+        # K_0 = 4 on a band 1 wide: F at 2h is too rough to fit at n_y 200
+        # and 400, where the row's own fit passes, and leaves |F| <= 1 at 100
+        scen = UnstableLevelScenario(m_y=FLAT_Y, omega_f=0.0, z_resonance=0.0,
+                                     m_z=FlatDensity(level=4.0, support=(-0.5, 0.5)))
+        controls = DynamicControls(n_y=n_y, n_z=40, dt=dt)
+        result, diag = dynamic_gamma(scen, controls)
+        assert diag.residual_rms < 0.01
+        assert diag.step_error == np.inf
+        assert f"{STEP_ERROR_WARNING}=inf" in result.warnings
+        _, (_, _, f_2h) = scenario_amplitude(scen, diag.window[1], controls)
+        assert (f_2h is not None) == has_f_2h
+
     def test_doubled_step_beyond_unitarity_bounds_nothing(self):
         # a step of 8 against a Y band 10 wide lifts |F| above 1, so the
         # check has no F at 2h and flags the trace with an infinite error
@@ -504,6 +561,13 @@ class TestDissipationByKernel:
         z_resonance=0.0)
 
     @staticmethod
+    def chain(scen, n_z, horizon, n_dt):
+        """(n_dt, D at h, D at 2h) on the trace model's grid of about n_dt steps."""
+        n_dt, _, d_h, d_2h = scenarios._chain_dissipation(
+            scen, n_z, horizon, horizon / n_dt, (np.array([scen.omega_f]), ()))
+        return n_dt, d_h, d_2h
+
+    @staticmethod
     def propagated(scen, n_z, horizon, n_dt):
         single = scenarios._star_model(scen, (np.array([scen.omega_f]), np.array([1.0]), None),
                                        scenarios._sector(scen, n_z), 10**4)
@@ -512,20 +576,22 @@ class TestDissipationByKernel:
     @pytest.mark.parametrize("name", sorted(CASCADES))
     def test_equals_propagated_on_every_step(self, name):
         scen = CASCADES[name]
-        d_h, d_2h = scenarios._chain_dissipation(scen, 10, 10.0, 2000)
+        n_dt, d_h, d_2h = self.chain(scen, 10, 10.0, 2000)
+        assert n_dt == 2000
         assert np.abs(d_h - self.propagated(scen, 10, 10.0, 2000)).max() <= 1e-9
         assert d_2h.size == 1001
 
     @pytest.mark.parametrize("n_z, horizon", [(80, 31.0), (1500, 30.0)])
     def test_equals_propagated_on_the_benchmark_sectors(self, n_z, horizon):
-        # the sweep row's and the chain's sectors, at their dt 0.002
-        n_dt = round(horizon / 0.002)
-        d_h, _ = scenarios._chain_dissipation(self.BENCH_BAND, n_z, horizon, n_dt)
+        # the sweep row's and the chain's sectors, at their dt 0.002, whose
+        # step counts round up to a multiple of their stride 7
+        n_dt, d_h, _ = self.chain(self.BENCH_BAND, n_z, horizon, round(horizon / 0.002))
+        assert n_dt in (15505, 15001)
         assert np.abs(d_h - self.propagated(self.BENCH_BAND, n_z, horizon, n_dt)).max() <= 1e-9
 
     def test_error_is_fourth_order_in_the_step(self):
         scen = CASCADES["explicit_m_z_off_centre"]
-        errors = [np.abs(scenarios._chain_dissipation(scen, 10, 10.0, n_dt)[0]
+        errors = [np.abs(self.chain(scen, 10, 10.0, n_dt)[1]
                          - self.propagated(scen, 10, 10.0, n_dt)).max() for n_dt in (100, 200)]
         assert 12.0 <= errors[0] / errors[1] <= 20.0
 
@@ -533,7 +599,7 @@ class TestDissipationByKernel:
         # a step of 5 against Z energies up to 2.3 from the resonance: D is
         # solved on 23 sub-steps a step (1.7e-5 off) and stays unitary
         scen = CASCADES["explicit_m_z_off_centre"]
-        d_h, d_2h = scenarios._chain_dissipation(scen, 10, 10.0, 2)
+        _, d_h, d_2h = self.chain(scen, 10, 10.0, 2)
         assert np.abs(d_h - self.propagated(scen, 10, 10.0, 2)).max() <= 1e-4
         assert d_2h.size == 2
 
@@ -561,14 +627,17 @@ class TestDissipationByKernel:
         assert name == STEP_ERROR_WARNING
         assert 0.5 * true_error <= float(value) <= 2.0 * true_error
 
-    def test_refined_chain_over_budget_is_refused(self):
+    def test_refined_chain_needs_no_dimension_budget(self):
         # 2.5 horizons of recurrence on the 24 wide band take 191 Z states:
-        # the trace model has the level, the mode and those
+        # the trace model has the level, the mode and those, and only
+        # build_trace_model, which builds it, counts them
         scen = CASCADES["bare_width_with_shift"]
         with pytest.raises(DimensionOverBudgetError,
                            match="^model needs 193 states, budget is 192$"):
-            scenario_trace(scen, 20.0, DynamicControls(n_z=10, dim_budget=192))
-        assert scenario_trace(scen, 20.0, DynamicControls(n_z=10, dim_budget=193)).horizon == 20.0
+            build_trace_model(scen, 20.0, DynamicControls(n_z=10, dim_budget=192))
+        tight = scenario_trace(scen, 20.0, DynamicControls(n_z=10, dim_budget=1))
+        np.testing.assert_array_equal(
+            tight.values, scenario_trace(scen, 20.0, DynamicControls(n_z=10)).values)
 
     def test_doubled_step_beyond_unitarity_is_flagged(self):
         # K_0 = 4 on a band 1 wide: the band asks no sub-steps of a step of
@@ -577,7 +646,7 @@ class TestDissipationByKernel:
                                      m_z=FlatDensity(level=4.0, support=(-0.5, 0.5)))
         with pytest.raises(StepTooLargeError):
             scenarios._volterra_solve(2.0, np.full(3, 4.0 + 0j), np.zeros(3))
-        d_h, d_2h = scenarios._chain_dissipation(scen, 40, 10.0, 10)
+        _, _, d_2h = self.chain(scen, 40, 10.0, 10)
         assert d_2h is None
         assert scenario_trace(scen, 10.0, DynamicControls(n_z=40, dt=1.0)).warnings == (
             f"{STEP_ERROR_WARNING}=inf",)
