@@ -79,6 +79,7 @@ _MAX_POINTS = 10**6
 _IGNORED_CONTROLS = {
     "eig_cutoff": "static models have one propagator",
     "sample_stride": "the stride is set by the horizon and dt",
+    "dim_budget": "one allocation cap bounds every array",
 }
 
 
@@ -131,14 +132,10 @@ def _parse_array(value, path):
 
 
 def _parse_pair(value, path):
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) and _finite(v)
-                   for v in value)
-    ):
-        raise ConfigError(path, "expected a [low, high] pair of finite numbers")
-    return float(value[0]), float(value[1])
+    pair = _parse_array(value, path)
+    if pair.size != 2:
+        raise ConfigError(path, f"expected a [low, high] pair, got {pair.size} entries")
+    return float(pair[0]), float(pair[1])
 
 
 def _parse_kind(obj, path, classes, what):
@@ -211,14 +208,9 @@ def _parse_sweep(obj, scenario, path):
         )
     if "values" in obj:
         _check_known_keys(obj, {"path", "values"}, path)
-        raw = _get(obj, "values", path, (list,))
-        if not raw:
+        values = _parse_array(obj["values"], f"{path}.values")
+        if not values.size:
             raise ConfigError(f"{path}.values", "must be nonempty")
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw):
-            raise ConfigError(f"{path}.values", "must all be numbers")
-        if not all(_finite(v) for v in raw):
-            raise ConfigError(f"{path}.values", "must all be finite")
-        values = np.asarray(raw, dtype=float)
         # compared, not subtracted: a difference can overflow
         if not np.all(values[1:] > values[:-1]):
             raise ConfigError(f"{path}.values", "must be strictly increasing")
@@ -261,7 +253,7 @@ def _parse_controls(obj, path):
     for key, reason in _IGNORED_CONTROLS.items():
         if _get(obj, key, path, (int,), required=False) is not None:
             _log.warning("%s.%s is ignored: %s", path, key, reason)
-    for key, low in (("n_y", 100), ("n_z", 50), ("dim_budget", 1)):
+    for key, low in (("n_y", 100), ("n_z", 50)):
         if getattr(controls, key) < low:
             raise ConfigError(f"{path}.{key}", f"must be at least {low}")
     for key in ("horizon", "dt"):

@@ -80,7 +80,16 @@ _DENOMINATOR_FLOOR = 1e-12
 _MIN_FIT_SAMPLES = 8
 # |F| may exceed 1 by this much in rounding
 _UNITARITY_TOL = 1e-9
-_DEFAULT_DIM_BUDGET = 50_000
+# points of any array either route sizes, at most, each counted before it
+# is allocated: a model's stored entries (states, couplings and the
+# nonzeros of W and the drive), propagate's samples x states, D's samples
+# x coupled modes, and the memory-kernel route's modes, solve steps and
+# chirp-z sums.  A memory-kernel solve peaks at about 160 bytes a step;
+# building a model and taking its survival amplitude peaks at 441 bytes a
+# state driven (n_y 20,000) and 477 for a cascade (400 x 100), 159-177
+# bytes a stored entry (tracemalloc, numpy 2.4, scipy 1.17).  So either
+# route peaks near 0.7 GB at the cap
+_MAX_ARRAY_POINTS = 4_000_000
 # drive phase omega_d h of one CF4:2 step at most
 _DRIVE_PHASE_STEP = 0.5
 # CF4:2 weights of the drive at the two Gauss points of a step, and those
@@ -426,19 +435,25 @@ def _taylor_states(static, drive, psi0, times, t_offset=0.0):
         yield state
 
 
-def _check_budget(n: int, dim_budget: int) -> None:
-    if n > dim_budget:
-        raise DimensionOverBudgetError(f"model needs {n} states, budget is {dim_budget}")
+def _capped(points: int, what: str) -> int:
+    """points, refused with DimensionOverBudgetError above _MAX_ARRAY_POINTS."""
+    if points > _MAX_ARRAY_POINTS:
+        raise DimensionOverBudgetError(f"{what} needs {points} points, "
+                                       f"at most {_MAX_ARRAY_POINTS}")
+    return points
 
 
-def _sampled_states(model, times, dim_budget, initial_state=None, t_offset=0.0):
+def _sampled_states(model, times, initial_state=None, t_offset=0.0):
     """Lazy states sampled at times, of every propagation.
 
     The states are a generator, so a caller can check the times before any
-    state is propagated.  t_offset shifts the drive's clock.
+    state is propagated.  t_offset shifts the drive's clock.  The model's
+    stored entries are capped before its matrix is built.
     """
     n = model.dimension
-    _check_budget(n, dim_budget)
+    w = 0 if model.w_static is None else model.w_static.nnz
+    drive = 0 if model.drive is None else model.drive.amplitude.nnz
+    _capped(n + model.v_xi.size + w + drive, "model")
     if initial_state is None:
         psi0 = np.zeros(n, dtype=complex)
         psi0[0] = 1.0
@@ -455,7 +470,6 @@ def propagate(
     dt: float | None = None,
     *,
     initial_state: np.ndarray | None = None,
-    dim_budget: int = _DEFAULT_DIM_BUDGET,
 ) -> Trajectory:
     """Integrate the Schroedinger equation from t = 0 to t = horizon.
 
@@ -472,11 +486,15 @@ def propagate(
     for a grid of that many steps.  A negative horizon (with negative dt)
     integrates backwards.  Norm drift beyond 1e-6 raises
     StepTooLargeError.  Every sampled state is kept; survival_amplitude
-    keeps only the initial level's amplitude.
+    keeps only the initial level's amplitude.  A model of more than 4
+    million stored entries, or a state matrix of more than 4 million
+    points (samples x states), raises DimensionOverBudgetError before it
+    is allocated.
     """
     times = _time_grid(horizon, dt, _energy_scale(model.h0_diag, model.v_xi, model.w_static,
                                                    model.drive))
-    sampled = _sampled_states(model, times, dim_budget, initial_state)
+    sampled = _sampled_states(model, times, initial_state)
+    _capped(times.size * model.dimension, "state matrix")
     states = np.empty((times.size, model.dimension), dtype=complex)
     for row, state in enumerate(sampled):
         states[row] = state
@@ -487,8 +505,6 @@ def survival_amplitude(
     model: DiscretizedModel,
     horizon: float,
     dt: float | None = None,
-    *,
-    dim_budget: int = _DEFAULT_DIM_BUDGET,
 ) -> AmplitudeTrace:
     """No-decay amplitude of the initial level, F(t) = <0|psi(t)> exp(i E0 t).
 
@@ -500,7 +516,7 @@ def survival_amplitude(
     """
     times = _time_grid(horizon, dt, _energy_scale(model.h0_diag, model.v_xi, model.w_static,
                                                    model.drive))
-    states = _sampled_states(model, times, dim_budget)
+    states = _sampled_states(model, times)
     column = np.fromiter((state[0] for state in states), complex, times.size)
     values = column * np.exp(1j * model.h0_diag[0] * times)
     return AmplitudeTrace(times=times, values=values)
@@ -567,8 +583,6 @@ def dissipation_trace(
     model: DiscretizedModel,
     horizon: float,
     dt: float | None = None,
-    *,
-    dim_budget: int = _DEFAULT_DIM_BUDGET,
 ) -> DissipationTrace:
     """Sample D(tau): interacting versus free evolution of V|psi0>.
 
@@ -579,21 +593,22 @@ def dissipation_trace(
     driven models the run is repeated with the drive's clock shifted by a
     quarter period, and the spread between the two traces (micromotion) is
     attached as a warning when it is visible.  |D| <= 1 holds for one coupled
-    mode; a model of several whose D leaves it raises ValueError.
+    mode; a model of several whose D leaves it raises ValueError.  The
+    denominator's samples x coupled modes and the model's stored entries
+    are capped at 4 million points each, before they are allocated.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     # the grid of the propagation, which runs with the decay coupling off
     scale = _energy_scale(model.h0_diag, (), model.w_static, model.drive)
-    return _sampled_dissipation(model, _time_grid(horizon, dt, scale), dim_budget)
+    return _sampled_dissipation(model, _time_grid(horizon, dt, scale))
 
 
-def _sampled_dissipation(model, times, dim_budget) -> DissipationTrace:
+def _sampled_dissipation(model, times) -> DissipationTrace:
     """dissipation_trace on a given uniform grid from tau = 0."""
     if np.linalg.norm(model.v_xi) == 0:
         raise ValueError("model has no decay coupling; D is undefined")
-    # before the denominator sizes an array by times and modes
-    _check_budget(model.dimension, dim_budget)
+    _capped(times.size * model.v_xi.size, "denominator")
     xi = slice(1, 1 + model.v_xi.size)
     phi = np.zeros(model.dimension, dtype=complex)
     phi[xi] = model.v_xi
@@ -611,7 +626,7 @@ def _sampled_dissipation(model, times, dim_budget) -> DissipationTrace:
     def overlap(states):
         return np.fromiter((state @ bra for state in states), complex, times.size)
 
-    values = overlap(_sampled_states(uncoupled, times, dim_budget, phi)) / denominator
+    values = overlap(_sampled_states(uncoupled, times, phi)) / denominator
     coupled, peak = np.count_nonzero(model.v_xi), np.abs(values).max()
     if coupled > 1 and peak > 1.0 + 1e-8:
         raise ValueError(f"|D| reaches {peak:.4g}: the level couples to "
@@ -619,7 +634,7 @@ def _sampled_dissipation(model, times, dim_budget) -> DissipationTrace:
     flags = []
     if model.drive is not None and model.drive.frequency > 0:
         period = 2.0 * np.pi / model.drive.frequency
-        shifted = _sampled_states(uncoupled, times, dim_budget, phi, 0.25 * period)
+        shifted = _sampled_states(uncoupled, times, phi, 0.25 * period)
         micromotion = float(np.abs(overlap(shifted) / denominator - values).max())
         if micromotion > 0.01:
             flags.append(f"{MICROMOTION_WARNING}={micromotion:.3g}")

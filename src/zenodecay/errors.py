@@ -59,10 +59,11 @@ class StepTooLargeError(ZenoError):
 
 
 class DimensionOverBudgetError(ZenoError):
-    """A model, grid or memory-kernel array larger than its cap.
+    """An array or time grid larger than its cap.
 
-    A built model has more states than its dim_budget, a time grid more
-    than 2**53 steps, or a memory-kernel route array more than 4,000,000 points.
+    An array either route sizes (a model's stored entries, a state matrix,
+    a D denominator, a memory-kernel route array) has more than 4,000,000
+    points, or a time grid more than 2**53 steps.
     """
 
     slug = "dimension_over_budget"

@@ -24,8 +24,9 @@ tau) G with G' = -int K_z G and K_z summing the Z couplings, so no model
 is propagated for it either; ``scenario_trace`` gives a cascade's D the
 same way.  C, K_z and F are taken at every dt step (K_z and G on finer
 sub-steps where the Z band needs them), and F is kept on the samples a
-propagation would keep.  No model is built on that route, so dim_budget
-does not bound it: one cap bounds each array it sizes, before allocation.
+propagation would keep.  No model is built on that route.  On either
+route one cap (dynamics._capped) bounds each array sized, before it is
+allocated.
 """
 
 from __future__ import annotations
@@ -38,14 +39,13 @@ import numpy as np
 from scipy import sparse
 
 from .dynamics import (
-    _DEFAULT_DIM_BUDGET,
     _DRIVE_PHASE_STEP,
     _MIN_FIT_SAMPLES,
     AmplitudeTrace,
     DiscretizedModel,
     DriveTerm,
     FitDiagnostics,
-    _check_budget,
+    _capped,
     _chirp_sums,
     _energy_scale,
     _grid_steps,
@@ -59,8 +59,7 @@ from .dynamics import (
 # unused here since dynamic_gamma keeps only the survival amplitude;
 # perfbench/test_gate.py still checks that scenarios.propagate is patched
 from .dynamics import propagate  # noqa: F401
-from .errors import (DimensionOverBudgetError, IllConditionedFitError, NonUniformGridError,
-                     StepTooLargeError)
+from .errors import IllConditionedFitError, NonUniformGridError, StepTooLargeError
 from .rates import DecayRateResult, perturbed_gamma
 from .spectral import (
     DiracKernel,
@@ -89,15 +88,11 @@ __all__ = [
 
 LEVEL_OFF_SUPPORT = "level_off_support"
 STRONG_DRIVE = "strong_drive"
+WIDTH_BEYOND_BAND = "width_beyond_band"
 STEP_ERROR_WARNING = "step_error"
 
 # relative step error of a memory-kernel gamma above which the row is flagged
 _STEP_ERROR_LIMIT = 1e-4
-
-# points of any array the memory-kernel route sizes, at most: Y or Z modes,
-# solve steps (D's sub-steps included), chirp-z sum steps plus modes.  A
-# solve peaks at about 160 bytes a step, so this bounds it near 0.65 GB
-_MAX_KERNEL_POINTS = 4_000_000
 
 # flat stand-in band for a bare width: wide enough that the truncation
 # shifts the realized width by under 2% (checked against the closed form)
@@ -221,7 +216,6 @@ class DynamicControls:
     horizon: float | None = None
     dt: float | None = None
     fit_window: tuple[float, float] | None = None
-    dim_budget: int = _DEFAULT_DIM_BUDGET
 
 
 def _synthesize_exponential(rate: float, dt: float, steps: int, label: str) -> DissipationTrace:
@@ -273,6 +267,11 @@ def _scenario_warnings(scenario) -> tuple[str, ...]:
         flags.append(LEVEL_OFF_SUPPORT)
     if isinstance(scenario, RabiDriveScenario) and scenario.omega > 0.5 * scenario.omega_21:
         flags.append(STRONG_DRIVE)
+    m_z = getattr(scenario, "m_z", None)
+    # the Lorentzian of an explicit band spills past the band's nearer edge
+    if m_z is not None and scenario.width > min(scenario.z_resonance - m_z.support[0],
+                                                m_z.support[1] - scenario.z_resonance):
+        flags.append(WIDTH_BEYOND_BAND)
     return tuple(flags)
 
 
@@ -305,12 +304,12 @@ def _secondary_density(scenario) -> tuple[SpectralDensity, float]:
 def _z_chain(scenario, n_z: int):
     """(eps, w_z, spacing): a cascade's Z chain, energies above z_resonance.
 
-    Empty, with spacing 0, for a bare zero width.
+    Empty, with spacing 0, for a bare zero width.  n_z is capped first.
     """
     if scenario.m_z is None and scenario.width == 0.0:
         return np.empty(0), np.empty(0), 0.0
     m_z, z_res = _secondary_density(scenario)
-    zeta, w_z, spacing = discretize_continuum(m_z, n_z)
+    zeta, w_z, spacing = discretize_continuum(m_z, _capped(n_z, "Z chain"))
     return zeta - z_res, w_z, spacing
 
 
@@ -342,16 +341,18 @@ def _sector(scenario, n_z: int):
     return offsets, (w if w.nnz else None), None
 
 
-def _star_model(scenario, y_modes, sector, dim_budget: int) -> DiscretizedModel:
+def _star_model(scenario, y_modes, sector) -> DiscretizedModel:
     """Level + the Y modes (omega, v, dy), each carrying a copy of the sector.
 
     The copies are laid out by sector state: state a of Y mode k is
-    1 + a n_y + k, so the decay modes are states 1..n_y.
+    1 + a n_y + k, so the decay modes are states 1..n_y.  The model's
+    stored entries are capped before any copy is laid out.
     """
     omega, v, dy = y_modes
     offsets, w, drive = sector
     n = 1 + omega.size * offsets.size
-    _check_budget(n, dim_budget)
+    per_copy = (0 if w is None else w.nnz) + (0 if drive is None else drive[0].nnz)
+    _capped(n + v.size + omega.size * per_copy, "model")
     eye = sparse.identity(omega.size, format="csr")
 
     def copies(mat):
@@ -367,14 +368,6 @@ def _star_model(scenario, y_modes, sector, dim_budget: int) -> DiscretizedModel:
         label=scenario.label,
         xi_spacing=dy,
     )
-
-
-def _capped(points: int, what: str) -> int:
-    """points, refused with DimensionOverBudgetError above _MAX_KERNEL_POINTS."""
-    if points > _MAX_KERNEL_POINTS:
-        raise DimensionOverBudgetError(f"{what} needs {points} points, "
-                                       f"at most {_MAX_KERNEL_POINTS}")
-    return points
 
 
 def _step_flags(error: float | None) -> tuple[str, ...]:
@@ -397,7 +390,7 @@ def _chain_dissipation(scenario, n_z: int, horizon: float, dt, y_modes):
     when that lifts |G| above 1).  Every array is capped before allocation.
     """
     lambda_i = getattr(scenario, "lambda_i", 0.0)
-    eps, w_z, spacing = _z_chain(scenario, _capped(n_z, "Z chain"))
+    eps, w_z, spacing = _z_chain(scenario, n_z)
     energies, couplings = y_modes
     offsets = np.concatenate(([0.0], eps - lambda_i))  # as _sector's
     h0 = np.concatenate(([scenario.omega_f], (energies + offsets[:, None]).ravel()))
@@ -467,8 +460,8 @@ def build_dynamic(scenario, controls: DynamicControls | None = None) -> Discreti
     """Finite Hermitian realization of the scenario for direct simulation."""
     controls = controls or DynamicControls()
     _check_simulable(scenario)
-    return _star_model(scenario, discretize_continuum(scenario.m_y, controls.n_y),
-                       _sector(scenario, controls.n_z), controls.dim_budget)
+    y_modes = discretize_continuum(scenario.m_y, _capped(controls.n_y, "Y band"))
+    return _star_model(scenario, y_modes, _sector(scenario, controls.n_z))
 
 
 def scenario_amplitude(scenario, horizon: float, controls: DynamicControls | None = None):
@@ -489,8 +482,7 @@ def scenario_amplitude(scenario, horizon: float, controls: DynamicControls | Non
     controls = controls or DynamicControls()
     if isinstance(scenario, RabiDriveScenario):
         model = build_dynamic(scenario, controls)
-        trace = survival_amplitude(model, horizon, controls.dt, dim_budget=controls.dim_budget)
-        return trace, None
+        return survival_amplitude(model, horizon, controls.dt), None
     _check_simulable(scenario)
     return _cascade_amplitude(scenario, horizon, controls)
 
@@ -508,8 +500,7 @@ def build_trace_model(
     controls = controls or DynamicControls()
     _check_simulable(scenario)
     return _star_model(scenario, (np.array([scenario.omega_f]), np.array([1.0]), None),
-                       _sector(scenario, _trace_n_z(scenario, horizon, controls.n_z)),
-                       controls.dim_budget)
+                       _sector(scenario, _trace_n_z(scenario, horizon, controls.n_z)))
 
 
 def _trace_n_z(scenario, horizon: float, n_z: int) -> int:
@@ -541,7 +532,7 @@ def scenario_trace(
         return _synthesize_exponential(scenario.rate, dt, steps, scenario.label)
     if isinstance(scenario, RabiDriveScenario):
         return dissipation_trace(build_trace_model(scenario, horizon, controls), horizon,
-                                 controls.dt, dim_budget=controls.dim_budget)
+                                 controls.dt)
     _check_simulable(scenario)
     # the trace model's grid: its one mode at omega_f, its decay coupling off
     n_dt, stride, d_h, d_2h = _chain_dissipation(

@@ -149,6 +149,20 @@ class TestParseConfig:
             cfg["sweep"]["values"] = bad
             with pytest.raises(ConfigError):
                 parse_config(cfg)
+        for bad in ([0.1, "x"], [0.1, True], [0.1, 10**400]):
+            cfg = rabi_config()
+            cfg["sweep"]["values"] = bad
+            with pytest.raises(ConfigError, match="entry 1 must be a finite number") as info:
+                parse_config(cfg)
+            assert info.value.path == "$.sweep.values"
+
+    def test_pair_takes_two_finite_numbers(self):
+        for bad, message in (([1.0], "got 1 entries"), ([0.0, 1.0, 2.0], "got 3 entries"),
+                             ([0.0, math.inf], "entry 1 must be a finite number"),
+                             ("[0, 1]", "expected list")):
+            with pytest.raises(ConfigError, match=message) as info:
+                parse_config(rabi_config(dynamic={"fit_window": bad}))
+            assert info.value.path == "$.dynamic.fit_window"
 
     def test_sweep_range_forms(self):
         cfg = rabi_config()
@@ -189,8 +203,6 @@ class TestParseConfig:
             parse_config(rabi_config(dynamic={"n_y": 10}))
         with pytest.raises(ConfigError, match="at least 50"):
             parse_config(rabi_config(dynamic={"n_z": 10}))
-        with pytest.raises(ConfigError, match="dim_budget: must be at least 1"):
-            parse_config(rabi_config(dynamic={"dim_budget": 0}))
         with pytest.raises(ConfigError, match="positive"):
             parse_config(rabi_config(dynamic={"dt": -0.1}))
         with pytest.raises(ConfigError, match="unknown field"):
@@ -247,8 +259,8 @@ class TestParseConfig:
         assert config.out_format == "json"
 
 
-DYNAMIC_KEYS = ("n_y", "n_z", "horizon", "dt", "fit_window", "dim_budget")
-IGNORED_KEYS = ("eig_cutoff", "sample_stride")
+DYNAMIC_KEYS = ("n_y", "n_z", "horizon", "dt", "fit_window")
+IGNORED_KEYS = ("eig_cutoff", "sample_stride", "dim_budget")
 BIGGEST = int(sys.float_info.max)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False) | st.integers(1, BIGGEST)
 number = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-BIGGEST, BIGGEST)
@@ -261,7 +273,6 @@ valid_dynamic = st.fixed_dictionaries({}, optional={
     "horizon": positive,
     "dt": positive,
     "fit_window": window.map(list),
-    "dim_budget": st.integers(1, 10**9),
 })
 not_int = st.one_of(st.booleans(), st.floats(), st.text(max_size=4), st.none(),
                     st.lists(st.integers(), max_size=2))
@@ -274,7 +285,6 @@ invalid_field = st.one_of(
               | st.integers(max_value=0)),
     st.tuples(st.just("n_y"), st.integers(max_value=99)),
     st.tuples(st.just("n_z"), st.integers(max_value=49)),
-    st.tuples(st.just("dim_budget"), st.integers(max_value=0)),
     st.tuples(st.sampled_from(("horizon", "dt")), non_finite),
     st.tuples(st.just("fit_window"), window.map(lambda p: [p[1], p[0]])),
     st.tuples(st.just("fit_window"), st.tuples(number, non_finite).map(list)),
@@ -639,6 +649,25 @@ class TestColumnsAndRendering:
 
 
 class TestRunSweep:
+    def test_retired_dim_budget_changes_no_byte(self):
+        # criterion 9's sweep (tests/test_acceptance.py), whose 801-state
+        # models the retired budget of 801 would have admitted exactly
+        config = rabi_config(
+            scenario={"kind": "rabi", "omega_f": 1.0, "omega": 0.1, "omega_21": 5.0,
+                      "m_y": {"kind": "power_law", "amplitude": 5e-4, "exponent": 3.0,
+                              "support": [0.0, 2.0]}},
+            routes="both",
+            dynamic={"n_y": 400, "dt": 0.0035, "horizon": 300.0, "fit_window": [126.0, 299.0]},
+        )
+        with cli_warnings() as records:
+            budgeted = parse_config({**config, "dynamic": {**config["dynamic"],
+                                                           "dim_budget": 801}})
+        assert [record.getMessage() for record in records] == [
+            "$.dynamic.dim_budget is ignored: one allocation cap bounds every array"]
+        columns = sweep_columns("both")
+        assert (render_rows(run_sweep(budgeted), columns, "csv")
+                == render_rows(run_sweep(parse_config(config)), columns, "csv"))
+
     def test_rabi_ratio_column(self):
         config = parse_config(rabi_config())
         rows = run_sweep(config)

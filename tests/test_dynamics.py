@@ -280,10 +280,31 @@ class TestPropagation:
         with pytest.raises(ValueError):
             propagate(two_level(), 0.0)
 
-    def test_dimension_budget(self):
+    def test_dimension_budget(self, monkeypatch):
+        # 30 states, 15 couplings and 28 nonzeros of W; 51 samples of 30 states
         model = chain_model(np.random.default_rng(7))
-        with pytest.raises(DimensionOverBudgetError):
-            propagate(model, 1.0, dim_budget=10)
+        monkeypatch.setattr(dynamics, "_MAX_ARRAY_POINTS", 72)
+        with pytest.raises(DimensionOverBudgetError, match="^model needs 73 points, at most 72$"):
+            propagate(model, 1.0)
+        monkeypatch.setattr(dynamics, "_MAX_ARRAY_POINTS", 1529)
+        with pytest.raises(DimensionOverBudgetError,
+                           match="^state matrix needs 1530 points, at most 1529$"):
+            propagate(model, 1.0)
+        monkeypatch.setattr(dynamics, "_MAX_ARRAY_POINTS", 1530)
+        assert propagate(model, 1.0).states.shape == (51, 30)
+
+    def test_state_matrix_over_the_cap_is_refused_before_allocating(self):
+        # 4000 samples of 2001 states: the matrix alone would take 128 MB
+        model = build_decay_model(FlatDensity(level=0.05, support=(-1.0, 1.0)), 0.0, 2000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionOverBudgetError,
+                               match="^state matrix needs 8004000 points, at most 4000000$"):
+                propagate(model, 8.0, 8.0 / 3999)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     @pytest.mark.parametrize("frequency", [None, 1.3], ids=["static", "driven"])
     def test_norm_drift_guard_trips_on_overstated_theta(self, monkeypatch, frequency):
@@ -639,12 +660,18 @@ class TestDissipationTrace:
         ref = np.cos(0.1 * trace.times / 2.0)
         assert np.abs(trace.values - ref).max() < 0.05
 
-    def test_dimension_budget(self):
+    def test_dimension_budget(self, monkeypatch):
+        # 73 stored entries; 3 samples of 15 coupled modes at dt 0.5, 51 at
+        # the default
         model = chain_model(np.random.default_rng(7))
-        with pytest.raises(DimensionOverBudgetError):
-            dissipation_trace(model, 1.0, dim_budget=10)
+        monkeypatch.setattr(dynamics, "_MAX_ARRAY_POINTS", 72)
+        with pytest.raises(DimensionOverBudgetError, match="^model needs 73 points, at most 72$"):
+            dissipation_trace(model, 1.0, 0.5)
+        with pytest.raises(DimensionOverBudgetError,
+                           match="^denominator needs 765 points, at most 72$"):
+            dissipation_trace(model, 1.0)
 
-    def test_budget_is_checked_before_the_denominator(self):
+    def test_budget_is_checked_before_the_denominator(self, monkeypatch):
         # 2001 samples of 2000 modes: the denominator's outer product
         # alone would take 64 MB
         modes = 2000
@@ -654,8 +681,9 @@ class TestDissipationTrace:
         )
         tracemalloc.start()
         try:
-            with pytest.raises(DimensionOverBudgetError):
-                dissipation_trace(model, 1000.0, dim_budget=10)
+            with pytest.raises(DimensionOverBudgetError,
+                               match="^denominator needs 4002000 points, at most 4000000$"):
+                dissipation_trace(model, 1000.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -665,8 +693,10 @@ class TestDissipationTrace:
             h0_diag=np.array([0.0, 0.0, np.pi]),
             v_xi=np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
         )
-        with pytest.raises(DimensionOverBudgetError):
-            dissipation_trace(vanishing, 2.0, 0.01, dim_budget=2)
+        monkeypatch.setattr(dynamics, "_MAX_ARRAY_POINTS", 401)
+        with pytest.raises(DimensionOverBudgetError,
+                           match="^denominator needs 402 points, at most 401$"):
+            dissipation_trace(vanishing, 2.0, 0.01)
 
 
 class TestMemoryKernelSolver:

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from zenodecay import scenarios
+from zenodecay import dynamics, scenarios
 from zenodecay.dynamics import (
     DiscretizedModel,
     _sampled_dissipation,
@@ -19,6 +19,7 @@ from zenodecay.scenarios import (
     LEVEL_OFF_SUPPORT,
     STEP_ERROR_WARNING,
     STRONG_DRIVE,
+    WIDTH_BEYOND_BAND,
     DynamicControls,
     RabiDriveScenario,
     ScatteringScenario,
@@ -181,6 +182,25 @@ class TestAnalyticGamma:
         scen = RabiDriveScenario(m_y=FLAT_Y, omega_f=0.0, omega=0.6, omega_21=1.0)
         assert STRONG_DRIVE in analytic_gamma(scen).warnings
 
+    def test_width_beyond_band_flagged_on_both_routes(self):
+        # width 4 pi = 12.6 on a Z band 1 wide: the narrow band dresses the
+        # mode into a pair, and its Lorentzian kernel misses the decay
+        m_z = FlatDensity(level=4.0, support=(-0.5, 0.5))
+        scen = UnstableLevelScenario(m_y=FLAT_Y, omega_f=0.0, m_z=m_z, z_resonance=0.0)
+        analytic = analytic_gamma(scen)
+        dynamic, _ = dynamic_gamma(scen, DynamicControls(n_y=200, n_z=40))
+        assert WIDTH_BEYOND_BAND in analytic.warnings
+        assert WIDTH_BEYOND_BAND in dynamic.warnings
+        scattering = ScatteringScenario(m_y=FLAT_Y, omega_f=0.0, m_z=m_z, z_resonance=0.0)
+        assert WIDTH_BEYOND_BAND in analytic_gamma(scattering).warnings
+
+    @pytest.mark.parametrize("level, edge", [(0.3 / np.pi, 12.0), (3.0 / np.pi, 120.0)],
+                             ids=["benchmark_cascade", "ci_zeno"])
+    def test_width_inside_band_is_not_flagged(self, level, edge):
+        scen = UnstableLevelScenario(m_y=FLAT_Y, omega_f=0.05, z_resonance=0.0,
+                                     m_z=FlatDensity(level=level, support=(-edge, edge)))
+        assert analytic_gamma(scen).warnings == ()
+
 
 class TestBuildDynamic:
     @pytest.mark.parametrize("name", ["rabi", *sorted(CASCADES)])
@@ -236,15 +256,43 @@ class TestBuildDynamic:
         with pytest.raises(ValueError, match="no explicit environment"):
             build_trace_model(scen, 10.0)
 
-    def test_dimension_budget(self):
+    def test_dimension_budget(self, monkeypatch):
+        # 80401 states, 400 couplings and 400 copies of a 400-entry W
         scen = UnstableLevelScenario(m_y=FLAT_Y, omega_f=0.0, lambda_r=0.1)
+        monkeypatch.setattr(dynamics, "_MAX_ARRAY_POINTS", 1000)
         with pytest.raises(DimensionOverBudgetError,
-                           match="model needs 80401 states, budget is 1000"):
-            build_dynamic(scen, DynamicControls(n_y=400, n_z=200, dim_budget=1000))
+                           match="^model needs 240801 points, at most 1000$"):
+            build_dynamic(scen, DynamicControls(n_y=400, n_z=200))
+        # 801 states, 400 couplings and 400 copies of a 2-entry drive, counted
+        # alike before the model is built and when it is propagated
         driven = RabiDriveScenario(m_y=FLAT_Y, omega_f=0.2, omega=0.2, omega_21=4.0)
-        with pytest.raises(DimensionOverBudgetError, match="model needs 801 states, budget is 800"):
-            build_dynamic(driven, DynamicControls(n_y=400, dim_budget=800))
-        assert build_dynamic(driven, DynamicControls(n_y=400, dim_budget=801)).dimension == 801
+        monkeypatch.setattr(dynamics, "_MAX_ARRAY_POINTS", 2000)
+        with pytest.raises(DimensionOverBudgetError, match="^model needs 2001 points, at most 2000$"):
+            build_dynamic(driven, DynamicControls(n_y=400))
+        monkeypatch.setattr(dynamics, "_MAX_ARRAY_POINTS", 2001)
+        model = build_dynamic(driven, DynamicControls(n_y=400))
+        assert model.dimension == 801
+        monkeypatch.setattr(dynamics, "_MAX_ARRAY_POINTS", 2000)
+        with pytest.raises(DimensionOverBudgetError, match="^model needs 2001 points, at most 2000$"):
+            survival_amplitude(model, 1.0)
+
+    def test_model_of_sixty_thousand_states_builds(self):
+        # 60,001 states, 150,001 stored entries: under the cap
+        driven = RabiDriveScenario(m_y=FLAT_Y, omega_f=0.2, omega=0.2, omega_21=4.0)
+        assert build_dynamic(driven, DynamicControls(n_y=30_000)).dimension == 60_001
+
+    def test_modes_over_the_cap_are_refused_before_allocating(self):
+        scen = UnstableLevelScenario(m_y=FLAT_Y, omega_f=0.0, lambda_r=0.1)
+        for controls, message in ((DynamicControls(n_y=10**7), "Y band needs 10000000 points"),
+                                  (DynamicControls(n_z=10**7), "Z chain needs 10000000 points")):
+            tracemalloc.start()
+            try:
+                with pytest.raises(DimensionOverBudgetError, match=message):
+                    build_dynamic(scen, controls)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 10 * 2**20
 
     def test_trace_model_uses_single_fiducial_mode(self):
         scen = UnstableLevelScenario(m_y=FLAT_Y, omega_f=0.0, lambda_r=0.1)
@@ -355,7 +403,8 @@ class TestTwoRouteAgreement:
 
     def test_zeno_cascade_at_the_default_budget(self):
         # a Z kernel 10 wide against a Y band 10 wide: its Z chain refined to
-        # clear 2.5 windows of recurrence, far more states than dim_budget
+        # clear 2.5 windows of recurrence, a model of 1.15 million states
+        # that the memory-kernel route never builds
         width = 10.0
         scen = UnstableLevelScenario(
             m_y=FLAT_Y, omega_f=0.0, z_resonance=0.0,
@@ -450,13 +499,14 @@ class TestMemoryKernelRoute:
 
     def test_dimension_budget_leaves_the_kernel_route_alone(self):
         # the full model, 1 + 10**4 (1 + 10**4) states, is never built, so
-        # the default budget does not refuse it
+        # the cap on its entries does not refuse the row
         scen = CASCADES["bare_width_with_shift"]
-        result, _ = dynamic_gamma(scen, DynamicControls(n_y=10**4, n_z=10**4))
+        controls = DynamicControls(n_y=10**4, n_z=10**4)
+        result, _ = dynamic_gamma(scen, controls)
         assert result.gamma == pytest.approx(analytic_gamma(scen).gamma, rel=0.07)
-        tight, _ = scenario_amplitude(scen, 5.0, replace(self.SMALL, dim_budget=1))
-        np.testing.assert_array_equal(tight.values,
-                                      scenario_amplitude(scen, 5.0, self.SMALL)[0].values)
+        with pytest.raises(DimensionOverBudgetError,
+                           match="^model needs 300030001 points, at most 4000000$"):
+            build_dynamic(scen, controls)
 
     @pytest.mark.parametrize("quantity, n_y, n_z, dt, horizon, message", [
         ("F", 101, 10, None, 5.0, "Y band needs 101 points"),
@@ -469,7 +519,7 @@ class TestMemoryKernelRoute:
                                                 horizon, message):
         # a Z band 1 wide asks no sub-steps of a step of 0.05: D's solve has
         # n_dt + 1 points, its chirp-z sum n_z more and F's n_y more
-        monkeypatch.setattr(scenarios, "_MAX_KERNEL_POINTS", 100)
+        monkeypatch.setattr(dynamics, "_MAX_ARRAY_POINTS", 100)
         scen = TestDissipationByKernel.NARROW
         controls = DynamicControls(n_y=n_y, n_z=n_z, dt=dt)
         run = scenario_trace if quantity == "D" else scenario_amplitude
@@ -570,8 +620,8 @@ class TestDissipationByKernel:
     @staticmethod
     def propagated(scen, n_z, horizon, n_dt):
         single = scenarios._star_model(scen, (np.array([scen.omega_f]), np.array([1.0]), None),
-                                       scenarios._sector(scen, n_z), 10**4)
-        return _sampled_dissipation(single, _uniform_grid(horizon, n_dt), 10**4).values
+                                       scenarios._sector(scen, n_z))
+        return _sampled_dissipation(single, _uniform_grid(horizon, n_dt)).values
 
     @pytest.mark.parametrize("name", sorted(CASCADES))
     def test_equals_propagated_on_every_step(self, name):
@@ -627,17 +677,20 @@ class TestDissipationByKernel:
         assert name == STEP_ERROR_WARNING
         assert 0.5 * true_error <= float(value) <= 2.0 * true_error
 
-    def test_refined_chain_needs_no_dimension_budget(self):
-        # 2.5 horizons of recurrence on the 24 wide band take 191 Z states:
-        # the trace model has the level, the mode and those, and only
-        # build_trace_model, which builds it, counts them
+    def test_refined_chain_needs_no_dimension_budget(self, monkeypatch):
+        # a chain of 10**4 Z modes: the trace model stores 30004 entries
+        # (10002 states, its coupling, 2 10**4 Z couplings and the shift),
+        # and only build_trace_model, which builds it, counts them; D's own
+        # arrays are at most its 22103-point chirp-z sum
         scen = CASCADES["bare_width_with_shift"]
+        controls = DynamicControls(n_z=10**4)
+        expected = scenario_trace(scen, 20.0, controls)
+        monkeypatch.setattr(dynamics, "_MAX_ARRAY_POINTS", 30003)
         with pytest.raises(DimensionOverBudgetError,
-                           match="^model needs 193 states, budget is 192$"):
-            build_trace_model(scen, 20.0, DynamicControls(n_z=10, dim_budget=192))
-        tight = scenario_trace(scen, 20.0, DynamicControls(n_z=10, dim_budget=1))
-        np.testing.assert_array_equal(
-            tight.values, scenario_trace(scen, 20.0, DynamicControls(n_z=10)).values)
+                           match="^model needs 30004 points, at most 30003$"):
+            build_trace_model(scen, 20.0, controls)
+        np.testing.assert_array_equal(scenario_trace(scen, 20.0, controls).values,
+                                      expected.values)
 
     def test_doubled_step_beyond_unitarity_is_flagged(self):
         # K_0 = 4 on a band 1 wide: the band asks no sub-steps of a step of
