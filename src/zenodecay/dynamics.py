@@ -9,8 +9,8 @@ decay constant; evolving V|psi0> under H0 + W alone, the same propagation
 with the decay coupling switched off, gives the sampled dissipation
 function D(tau).
 
-Every model is evolved by a truncated Taylor series of the matrix
-exponential (Al-Mohy and Higham, SIAM J. Sci. Comput. 33 (2011) 488)
+The reference propagator evolves every model by a truncated Taylor series
+of the matrix exponential (Al-Mohy and Higham, SIAM J. Sci. Comput. 33 (2011) 488)
 over a uniform sample grid; a driven model takes 4th-order
 commutator-free Magnus steps (CF4:2), each two such exponentials.  Each
 exponential is evaluated by Horner's rule in two vectors, one sparse
@@ -24,14 +24,21 @@ sample and never the full state matrix; propagate stacks the states.
 
 When every decay mode carries its own copy of one final-state sector, the
 level amplitude obeys the memory-kernel equation
-F'(t) = -int_0^t K(t - s) F(s) ds exactly (Kofman and Kurizki, Nature 405
-(2000) 546); memory_kernel_amplitude solves it on a uniform grid from K
-alone, so the full model is never propagated.  Given K' as well, the same
-solve with Euler-Maclaurin end terms is fourth order; that gives the
-dissipation function of a decay mode whose sector is a chain, again with
-no propagation.  Both solves (_lower_toeplitz_solve) and the kernel sums
-over equally spaced energies, chirp-z transforms (_chirp_sums), are
-O(N log N) by FFT, with no BLAS call.
+F'(t) = -int_0^t K(t, s) F(s) ds exactly (Kofman and Kurizki, Nature 405
+(2000) 546), so the full model is never propagated.  A static sector gives
+K(t - s); memory_kernel_amplitude solves it on a uniform grid from K
+alone.  Given K' as well, the same solve with Euler-Maclaurin end terms is
+fourth order; that gives the dissipation function of a decay mode whose
+sector is a chain, again with no propagation.  Both solves
+(_lower_toeplitz_solve) and the kernel sums over equally spaced energies,
+chirp-z transforms (_chirp_sums), are O(N log N) by FFT, with no BLAS
+call.  A driven 2x2 sector gives the separable K(t, s) = C(t - s)
+(a(t) conj(a(s)) + b(t) conj(b(s))), (a, b) the row 0 of the sector's
+propagator: _sector_rows composes it from the sector's closed-form CF4:2
+steps by a prefix scan, and _separable_solve solves for F by divide and
+conquer in O(N log^2 N), again with no BLAS call.  So no production path
+propagates: propagate, survival_amplitude and dissipation_trace are the
+references that both routes' solves are tested against.
 """
 
 from __future__ import annotations
@@ -83,8 +90,9 @@ _UNITARITY_TOL = 1e-9
 # points of any array either route sizes, at most, each counted before it
 # is allocated: a model's stored entries (states, couplings and the
 # nonzeros of W and the drive), propagate's samples x states, D's samples
-# x coupled modes, and the memory-kernel route's modes, solve steps and
-# chirp-z sums.  A memory-kernel solve peaks at about 160 bytes a step;
+# x coupled modes, and the memory-kernel route's modes, solve steps,
+# chirp-z sums and sector-row scans (four points a step).  A memory-kernel
+# solve peaks at about 160 bytes a step, a driven one at about 400;
 # building a model and taking its survival amplitude peaks at 441 bytes a
 # state driven (n_y 20,000) and 477 for a cascade (400 x 100), 159-177
 # bytes a stored entry (tracemalloc, numpy 2.4, scipy 1.17).  So either
@@ -225,7 +233,7 @@ class FitDiagnostics:
     residual_rms: float
     recurrence_time: float | None
     # relative error of gamma from the memory-kernel solver's step, None
-    # when the amplitude was propagated (the norm-drift guard covers that)
+    # when the fit was given no such estimate
     step_error: float | None = None
 
 
@@ -604,6 +612,17 @@ def dissipation_trace(
     return _sampled_dissipation(model, _time_grid(horizon, dt, scale))
 
 
+def _quarter_period(frequency):
+    """A quarter period of a drive, the clock shift of the micromotion check."""
+    return 0.25 * (2.0 * np.pi / frequency)
+
+
+def _micromotion_flags(values, shifted):
+    """The micromotion warning when D and D with the drive's clock shifted differ by over 0.01."""
+    micromotion = float(np.abs(shifted - values).max())
+    return (f"{MICROMOTION_WARNING}={micromotion:.3g}",) if micromotion > 0.01 else ()
+
+
 def _sampled_dissipation(model, times) -> DissipationTrace:
     """dissipation_trace on a given uniform grid from tau = 0."""
     if np.linalg.norm(model.v_xi) == 0:
@@ -631,15 +650,12 @@ def _sampled_dissipation(model, times) -> DissipationTrace:
     if coupled > 1 and peak > 1.0 + 1e-8:
         raise ValueError(f"|D| reaches {peak:.4g}: the level couples to "
                          f"{coupled} modes, and |D| <= 1 holds for one coupled mode")
-    flags = []
+    flags = ()
     if model.drive is not None and model.drive.frequency > 0:
-        period = 2.0 * np.pi / model.drive.frequency
-        shifted = _sampled_states(uncoupled, times, phi, 0.25 * period)
-        micromotion = float(np.abs(overlap(shifted) / denominator - values).max())
-        if micromotion > 0.01:
-            flags.append(f"{MICROMOTION_WARNING}={micromotion:.3g}")
+        shifted = _sampled_states(uncoupled, times, phi, _quarter_period(model.drive.frequency))
+        flags = _micromotion_flags(values, overlap(shifted) / denominator)
     return DissipationTrace(
-        times=times, values=values, label=model.label, warnings=tuple(flags)
+        times=times, values=values, label=model.label, warnings=flags
     )
 
 
@@ -713,6 +729,122 @@ def _volterra_solve(h, kernel, slope=None):
         c = 1.0 + end * kernel[0]
         values[1:] = (1.0 - (0.5 * h) * k1[1:] + end * kernel[1:]) / c
         _lower_toeplitz_solve((h / c) * k1, values[1:])
+    if np.abs(values).max() > 1.0 + _UNITARITY_TOL:
+        raise StepTooLargeError("the amplitude exceeds 1 in modulus; the step is too coarse "
+                                "for the kernel")
+    return values
+
+
+def _compose(later, earlier):
+    """later @ earlier for stacks of 2x2 matrices on the last axis, by components."""
+    return later[:, :1] * earlier[:1] + later[:, 1:] * earlier[1:]
+
+
+def _sector_rows(rabi, splitting, starts, h):
+    """(a, b): row 0 of u(t0 + j h, t0), j = 0 .. len(starts), of the driven 2x2 sector.
+
+    The sector is [[0, rabi cos(w t)], [rabi cos(w t), w]], w = splitting,
+    advanced by the CF4:2 steps of propagate from the times starts (t0 is
+    starts[0]).  Each step is the product of the two exponentials of
+    A = H_s/2 + c X in closed form: exp(-i h A) = exp(-i h w/4) (cos th -
+    i h sin(th)/th (c rabi sigma_x - (w/4) sigma_z)), th = h |(c rabi, w/4)|.
+    The steps are composed by a Hillis-Steele prefix scan, log2 N passes of
+    2x2 products taken by components, with no BLAS call.
+    """
+    quarter = 0.25 * splitting
+    c1, c2 = (np.cos(splitting * (starts + node * h)) for node in _CF4_NODES)
+    steps = []
+    for a, b in (_CF4_WEIGHTS, _CF4_WEIGHTS[::-1]):
+        x = (a * c1 + b * c2) * rabi
+        norm = np.hypot(x, quarter)
+        cos, sin = np.cos(h * norm), np.sin(h * norm) / norm
+        off = -1j * x * sin
+        exp = np.array([[cos + 1j * quarter * sin, off], [off, cos - 1j * quarter * sin]])
+        exp *= np.exp(-1j * h * quarter)
+        steps.append(exp)
+    scan = _compose(*steps[::-1])
+    shift = 1
+    while shift < starts.size:
+        scan[..., shift:] = _compose(scan[..., shift:], scan[..., :-shift])
+        shift *= 2
+    rows = np.empty((2, starts.size + 1), dtype=complex)
+    rows[:, 0] = (1.0, 0.0)
+    rows[:, 1:] = scan[0]
+    return rows
+
+
+# steps of a leaf of the separable solve's divide and conquer, at most
+_LEAF_STEPS = 64
+
+
+def _separable_solve(h, correlation, rows):
+    """F at the steps j h of F' = -sum_r a_r(t) int_0^t C(t - s) conj(a_r(s)) F(s) ds.
+
+    F(0) = 1, correlation[j] = C(j h) and rows[r, j] = a_r(j h), whose
+    squares sum to 1 at every j (row 0 of a unitary).  The trapezoid rule
+    takes both the inner integrals y_r and F = 1 + int F', so
+    F_n = 1 + h sum_{0 < j < n} P_j + (h/2) P_n, P_j = -sum_r a_r(j) y_r(j).
+    The history sums y_r are split by divide and conquer (Hairer, Lubich and
+    Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532): once the first
+    half of a range is solved, one 2-row FFT product adds its share,
+    C * (conj(a_r) F), to the second half's sums.  A leaf of at most 64
+    steps is then a lower-triangular system with the constant diagonal
+    1 + h^2 C(0)/4, solved by the Neumann series of its strictly lower part,
+    which ends once a term falls below rounding.  O(N log^2 N), with no BLAS
+    call.  A step too coarse for the kernel can lift |F| above 1, which
+    raises StepTooLargeError.
+    """
+    n = correlation.size
+    c0 = correlation[0]
+    diagonal = 1.0 + 0.25 * h * h * c0
+    lags = np.subtract.outer(np.arange(_LEAF_STEPS), np.arange(_LEAF_STEPS))
+    # C_{j-m} below the diagonal of a leaf, 0 on and above it
+    toeplitz = np.where(lags > 0, correlation[np.clip(lags, 0, n - 1)], 0.0)
+    lower = np.tril(np.ones((_LEAF_STEPS, _LEAF_STEPS)), -1)
+    values = np.empty(n, dtype=complex)
+    values[0] = 1.0
+    # history[r, j] = sum_m C_{j-m} conj(a_r(m)) F_m over the solved m < j,
+    # F_0 at the trapezoid's half weight
+    weighted = np.conj(rows)
+    history = (0.5 * weighted[:, :1]) * correlation
+    spectra = {}
+    running = 1.0 + 0j  # 1 + h sum P_j over the solved steps
+    # (p, q, mid): solve steps p..q-1, or with mid, add the history of the
+    # solved p..mid-1 to mid..q-1; a loop, not a recursion, so no closure
+    # cycle keeps the arrays alive past the call
+    tasks = [(1, n, None)]
+    while tasks:
+        p, q, mid = tasks.pop()
+        if mid is not None:
+            span = q - p
+            if span not in spectra:
+                spectra[span] = fft.fft(correlation[:span], fft.next_fast_len(span))
+            history[:, mid:q] += _fft_product(weighted[:, p:mid], spectra[span])[:, mid - p:span]
+        elif q - p > _LEAF_STEPS:
+            mid = (p + q) // 2
+            tasks += [(mid, q, None), (p, q, mid), (p, mid, None)]
+        else:
+            size = q - p
+            a = rows[:, p:q]
+            past = np.einsum("rj,rj->j", a, history[:, p:q], optimize=False)
+            local = toeplitz[:size, :size] * np.einsum("rj,rm->jm", a, weighted[:, p:q],
+                                                       optimize=False)
+            before = np.cumsum(local, axis=0)
+            before[1:] = before[:-1]
+            before[0] = 0.0
+            system = (h * h) * (0.5 * c0 * lower[:size, :size] + before + 0.5 * local)
+            term = (running - (h * h) * (np.cumsum(past) - 0.5 * past)) / diagonal
+            x = term.copy()
+            # rounding of the leading term, near that of the sum
+            rounding = 2.0**-53 * np.abs(term).max()
+            while np.abs(term).max() > rounding:
+                term = np.einsum("jm,m->j", system, term, optimize=False) / -diagonal
+                x += term
+            values[p:q] = x
+            slope = (-h * (past + np.einsum("jm,m->j", local, x, optimize=False))
+                     - 0.5 * h * c0 * x)
+            running += h * slope.sum()
+            weighted[:, p:q] *= x
     if np.abs(values).max() > 1.0 + _UNITARITY_TOL:
         raise StepTooLargeError("the amplitude exceeds 1 in modulus; the step is too coarse "
                                 "for the kernel")

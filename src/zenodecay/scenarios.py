@@ -15,18 +15,22 @@ coherence: the mode and its driven partner, or the mode and its Z chain.
 ``_sector`` gives it once and ``_star_model`` lays it out per Y mode,
 with the decay modes at states 1..n_y.
 
-``scenario_amplitude`` gives the level amplitude F(t) of that model.  A
-driven model is propagated whole.  A cascade's F obeys the memory-kernel
-equation F' = -int C D F with no approximation: C(tau) sums the Y
-couplings and D(tau) is the dissipation function of one Y mode in its
-sector.  That D obeys its own memory-kernel equation, D = exp(i lambda_i
-tau) G with G' = -int K_z G and K_z summing the Z couplings, so no model
-is propagated for it either; ``scenario_trace`` gives a cascade's D the
-same way.  C, K_z and F are taken at every dt step (K_z and G on finer
-sub-steps where the Z band needs them), and F is kept on the samples a
-propagation would keep.  No model is built on that route.  On either
-route one cap (dynamics._capped) bounds each array sized, before it is
-allocated.
+``scenario_amplitude`` gives the level amplitude F(t) of that model, and
+no scenario's model is propagated for it.  A cascade's F obeys the
+memory-kernel equation F' = -int C D F with no approximation: C(tau) sums
+the Y couplings and D(tau) is the dissipation function of one Y mode in
+its sector.  That D obeys its own memory-kernel equation, D = exp(i
+lambda_i tau) G with G' = -int K_z G and K_z summing the Z couplings, so
+no model is propagated for it either; ``scenario_trace`` gives a
+cascade's D the same way.  C, K_z and F are taken at every dt step (K_z
+and G on finer sub-steps where the Z band needs them).  A driven sector
+is the mode and its partner, so with (a, b) the row 0 of its propagator
+u(t, 0), taken from its closed-form CF4:2 steps, D(tau) = a(tau) and F
+obeys the separable F' = -a int C conj(a) F - b int C conj(b) F, solved
+on every CF4:2 step a propagation would take.  F is kept on the samples a
+propagation would keep, and D on those of ``dissipation_trace``.  No
+model is built on either path.  One cap (dynamics._capped) bounds each
+array sized, before it is allocated.
 """
 
 from __future__ import annotations
@@ -49,15 +53,18 @@ from .dynamics import (
     _chirp_sums,
     _energy_scale,
     _grid_steps,
+    _micromotion_flags,
+    _quarter_period,
+    _sector_rows,
+    _separable_solve,
+    _time_grid,
     _uniform_grid,
     _volterra_solve,
     discretize_continuum,
-    dissipation_trace,
     fit_decay,
-    survival_amplitude,
 )
-# unused here since dynamic_gamma keeps only the survival amplitude;
-# perfbench/test_gate.py still checks that scenarios.propagate is patched
+# unused here, since no scenario is propagated; perfbench/test_gate.py
+# still checks that scenarios.propagate is patched
 from .dynamics import propagate  # noqa: F401
 from .errors import IllConditionedFitError, NonUniformGridError, StepTooLargeError
 from .rates import DecayRateResult, perturbed_gamma
@@ -445,6 +452,82 @@ def _cascade_amplitude(scenario, horizon: float, controls: DynamicControls):
     return replace(trace, warnings=_step_flags(error)), (times, f_h, f_2h)
 
 
+def _drive_steps(scenario, times):
+    """(sub, h): the CF4:2 steps a sample and their length, as propagate takes them.
+
+    A sample spacing is split into sub = ceil(omega_21 spacing / 0.5) steps.
+    """
+    spacing = times[-1] / (times.size - 1)
+    sub = max(1, math.ceil(scenario.omega_21 * spacing / _DRIVE_PHASE_STEP))
+    return sub, spacing / sub
+
+
+def _drive_starts(times, sub, h, offset=0.0):
+    """offset + times[j] + k h for every sample interval j and k < sub, as propagate adds them."""
+    return ((offset + times[:-1, None]) + h * np.arange(sub)).ravel()
+
+
+def _driven_amplitude(scenario, horizon: float, controls: DynamicControls):
+    """scenario_amplitude of a driven model, by its separable memory kernel.
+
+    Every Y mode carries the same 2x2 sector, so U_k(t, s) =
+    exp(-i omega_k (t - s)) u(t, 0) u(s, 0)^dagger, and with (a, b) the row
+    0 of u(t, 0), F' = -a int C conj(a) F - b int C conj(b) F exactly, C the
+    cascade's chirp-z sum over the Y band.  F is solved on every CF4:2 step
+    propagation would take (_separable_solve), the rows from those steps
+    (_sector_rows), and again at twice the step, the rows from their own
+    steps.  Every array is capped first.
+    """
+    omega, v, dy = discretize_continuum(scenario.m_y, _capped(controls.n_y, "Y band"))
+    ends = omega[[0, -1]]
+    times = _time_grid(horizon, controls.dt, _energy_scale(
+        np.concatenate(([scenario.omega_f], ends, ends + scenario.omega_21)),
+        np.concatenate((v, [scenario.omega, scenario.omega_21]))))
+    sub, h = _drive_steps(scenario, times)
+    n = (times.size - 1) * sub
+    _capped(n + 1, "memory-kernel solve")
+    _capped(n + 1 + omega.size, "chirp-z sum")
+    _capped(4 * n, "sector-row scan")
+    starts = _drive_starts(times, sub, h)
+    rows = _sector_rows(scenario.omega, scenario.omega_21, starts, h)
+    # C(tau) = sum_k |v_k|^2 exp(-i (omega_k - E0) tau)
+    correlation = _chirp_sums(omega[0] - scenario.omega_f, dy, v * v, h, n + 1)
+    fine = _separable_solve(h, correlation, rows)
+    trace = AmplitudeTrace(times=times, values=fine[::sub])
+    if n < 2:
+        return trace, None
+    # both on every (2 thin)-th step, about as many points as the samples
+    thin = max(1, sub // 2)
+    check_times, f_h = _uniform_grid(horizon, n)[:: 2 * thin], fine[:: 2 * thin]
+    f_2h, error = None, math.inf
+    rows = _sector_rows(scenario.omega, scenario.omega_21, starts[: n - n % 2 : 2], 2.0 * h)
+    with contextlib.suppress(StepTooLargeError):
+        f_2h = _separable_solve(2.0 * h, correlation[::2], rows)[::thin]
+        error = float(np.abs(f_h - f_2h).max()) / 3.0
+    return replace(trace, warnings=_step_flags(error)), (check_times, f_h, f_2h)
+
+
+def _driven_dissipation(scenario, horizon: float, dt) -> DissipationTrace:
+    """scenario_trace of a driven model: D(tau) = u_00(t0 + tau, t0), t0 = 0.
+
+    The grid is dissipation_trace's of the trace model, and its CF4:2 steps
+    propagation's.  D is also taken with the drive's clock shifted by a
+    quarter period, and the spread between the two (micromotion) is flagged
+    above 0.01.  The scan is capped before it is allocated.
+    """
+    times = _time_grid(horizon, dt, _energy_scale(
+        np.array([scenario.omega_f, scenario.omega_f + scenario.omega_21]),
+        np.array([scenario.omega, scenario.omega_21])))
+    sub, h = _drive_steps(scenario, times)
+    _capped(4 * (times.size - 1) * sub, "sector-row scan")
+    values, shifted = (
+        _sector_rows(scenario.omega, scenario.omega_21, _drive_starts(times, sub, h, offset),
+                     h)[0, ::sub]
+        for offset in (0.0, _quarter_period(scenario.omega_21)))
+    return DissipationTrace(times=times, values=values, label=scenario.label,
+                            warnings=_micromotion_flags(values, shifted))
+
+
 def _check_simulable(scenario) -> None:
     """Raise unless the scenario has a finite model to simulate."""
     if not isinstance(scenario, (RabiDriveScenario, UnstableLevelScenario, ScatteringScenario)):
@@ -467,22 +550,21 @@ def build_dynamic(scenario, controls: DynamicControls | None = None) -> Discreti
 def scenario_amplitude(scenario, horizon: float, controls: DynamicControls | None = None):
     """(F(t) of build_dynamic(scenario, controls) out to the horizon, step check).
 
-    A driven model is propagated by survival_amplitude.  A cascade's F is
-    solved from its exact memory kernel, without building the full model,
-    on every step of the grid propagation would take and returned on the
-    samples propagation would keep.  The step check is (times, F at step h,
-    F at step 2h) on about as many times as the samples, the last None when
-    the doubled step lifts |F| above 1; when sup |F_h - F_2h| / 3 exceeds
-    1e-4 the trace carries a step_error warning.  The check is None for a
-    driven model, whose propagation the norm-drift guard covers, and on a
-    grid of under 3 steps.  The horizon must be finite and positive.
+    F is solved from the model's exact memory kernel, without building the
+    model, on every step of the grid propagation would take (for a driven
+    model, its CF4:2 steps) and returned on the samples propagation would
+    keep.  The step check is (times, F at step h, F at step 2h) on about as
+    many times as the samples, the last None when the doubled step lifts
+    |F| above 1; when sup |F_h - F_2h| / 3 exceeds 1e-4 the trace carries a
+    step_error warning.  A driven model's F at 2h takes its rows from CF4:2
+    steps of 2h.  The check is None on a grid of under 3 steps.  The
+    horizon must be finite and positive.
     """
     if not (np.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be positive, got {horizon}")
     controls = controls or DynamicControls()
     if isinstance(scenario, RabiDriveScenario):
-        model = build_dynamic(scenario, controls)
-        return survival_amplitude(model, horizon, controls.dt), None
+        return _driven_amplitude(scenario, horizon, controls)
     _check_simulable(scenario)
     return _cascade_amplitude(scenario, horizon, controls)
 
@@ -495,7 +577,8 @@ def build_trace_model(
     The dissipation function does not depend on the decay continuum, so a
     single mode at omega_f keeps the free-evolution denominator away from
     zero.  For cascades the secondary grid is refined until its recurrence
-    clears 2.5 times the requested horizon.
+    clears 2.5 times the requested horizon.  scenario_trace builds no model;
+    dissipation_trace of this one is the reference its D is tested against.
     """
     controls = controls or DynamicControls()
     _check_simulable(scenario)
@@ -514,7 +597,11 @@ def _trace_n_z(scenario, horizon: float, n_z: int) -> int:
 def scenario_trace(
     scenario, horizon: float, controls: DynamicControls | None = None
 ) -> DissipationTrace:
-    """Sampled dissipation function D(tau) out to the horizon."""
+    """Sampled dissipation function D(tau) out to the horizon.
+
+    D is taken on the samples dissipation_trace(build_trace_model(...))
+    would take, without building or propagating that model.
+    """
     controls = controls or DynamicControls()
     if not (np.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -531,8 +618,7 @@ def scenario_trace(
         steps = max(64, int(np.ceil(horizon / dt)))
         return _synthesize_exponential(scenario.rate, dt, steps, scenario.label)
     if isinstance(scenario, RabiDriveScenario):
-        return dissipation_trace(build_trace_model(scenario, horizon, controls), horizon,
-                                 controls.dt)
+        return _driven_dissipation(scenario, horizon, controls.dt)
     _check_simulable(scenario)
     # the trace model's grid: its one mode at omega_f, its decay coupling off
     n_dt, stride, d_h, d_2h = _chain_dissipation(
@@ -611,11 +697,10 @@ def dynamic_gamma(
     The fit window defaults to clearing both the short-time transient
     (kernel memory or two drive periods) and the discretization recurrence;
     the horizon stretches to the window end.  F(t) comes from
-    scenario_amplitude.  For a cascade, the fit is repeated on F solved at
-    twice the step; diagnostics.step_error is the resulting relative error
-    estimate, and above 1e-4 it flags the row, which stays ok.  It is None
-    for a driven model and when the window holds too few of the check's
-    samples for a fit.
+    scenario_amplitude.  The fit is repeated on F solved at twice the
+    step; diagnostics.step_error is the resulting relative error estimate,
+    and above 1e-4 it flags the row, which stays ok.  It is None when the
+    window holds too few of the check's samples for a fit.
     """
     controls = controls or DynamicControls()
     t_rec = _recurrence_time(scenario, controls)

@@ -395,12 +395,21 @@ def kernel_from_dissipation(trace: DissipationTrace) -> NumericKernel:
     k = np.arange(-k_max, k_max + 1)
 
     # f_neg[(-k) % m_fft] equals f_pos[k % m_fft] up to rounding, but taking it
-    # from the conjugate trace makes a real trace's kernel even bit for bit
+    # from the conjugate trace makes a real trace's kernel even bit for bit;
+    # k runs from -k_max, so the first k_max nodes are the negative ones
     m_fft = 2 * (n - 1)
+    wrapped = np.abs(k) % m_fft
     f_pos = np.fft.fft(g, m_fft).real
     f_neg = np.fft.fft(np.conj(g), m_fft).real
-    node_sum = np.where(k >= 0, f_pos[k % m_fft], f_neg[(-k) % m_fft])
+    node_sum = np.concatenate((f_neg[wrapped[:k_max]], f_pos[wrapped[k_max:]]))
 
-    # W at theta = pi k / (n - 1), free of the cancellation in 1 - cos theta
-    values = h / np.pi * np.sinc(k / m_fft) ** 2 * (node_sum - g[0].real / 2.0)
+    # W = sin^2(theta/2) / (theta/2)^2 at theta = pi k / (n - 1), free of the
+    # cancellation in 1 - cos theta; sin^2 repeats with period m_fft in k, and
+    # is read by |k| so that W is even bit for bit
+    half_theta = k * (np.pi / m_fft)
+    half_theta[k_max] = 1.0
+    weights = np.sin(np.arange(m_fft) * (np.pi / m_fft)) ** 2
+    weights = weights[wrapped] / (half_theta * half_theta)
+    weights[k_max] = 1.0
+    values = h / np.pi * weights * (node_sum - g[0].real / 2.0)
     return NumericKernel(eps=k * d_eps, values=values, window=t_eff)

@@ -398,8 +398,8 @@ class TestTwoRouteAgreement:
         dynamic, diag = dynamic_gamma(scen, DynamicControls(n_y=150))
         assert dynamic.gamma == pytest.approx(analytic.gamma, rel=0.05)
         assert dynamic.method == "dynamic_fit"
-        # a propagated amplitude has the norm-drift guard, not a step error
-        assert diag.step_error is None
+        # the separable solve's own estimate, re-solved at twice the step
+        assert diag.step_error < 1e-4
 
     def test_zeno_cascade_at_the_default_budget(self):
         # a Z kernel 10 wide against a Y band 10 wide: its Z chain refined to
@@ -525,6 +525,35 @@ class TestMemoryKernelRoute:
         run = scenario_trace if quantity == "D" else scenario_amplitude
         with pytest.raises(DimensionOverBudgetError, match=f"^{message}, at most 100$"):
             run(scen, horizon, controls)
+
+    @pytest.mark.parametrize("quantity, n_y, horizon, message", [
+        ("F", 101, 5.0, "Y band needs 101 points"),
+        ("F", 20, 5.0, "memory-kernel solve needs 101 points"),
+        ("F", 20, 4.0, "chirp-z sum needs 101 points"),
+        ("F", 20, 1.3, "sector-row scan needs 104 points"),
+        ("D", 20, 1.3, "sector-row scan needs 104 points"),
+    ])
+    def test_every_driven_array_counts_against_the_cap(self, monkeypatch, quantity, n_y,
+                                                       horizon, message):
+        # a drive of frequency 1 asks one CF4:2 step per sample of 0.05: F's
+        # solve has a point a step and one more, its chirp-z sum n_y more,
+        # and the scan of either quantity four a step
+        monkeypatch.setattr(dynamics, "_MAX_ARRAY_POINTS", 100)
+        controls = DynamicControls(n_y=n_y, dt=0.05)
+        run = scenario_trace if quantity == "D" else scenario_amplitude
+        with pytest.raises(DimensionOverBudgetError, match=f"^{message}, at most 100$"):
+            run(TestDrivenBySeparableKernel.COARSE, horizon, controls)
+
+    def test_driven_modes_over_the_cap_are_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionOverBudgetError,
+                               match="^Y band needs 10000000 points, at most 4000000$"):
+                dynamic_gamma(TestDrivenBySeparableKernel.COARSE, DynamicControls(n_y=10**7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     @pytest.mark.parametrize("n_y, n_z", [(10**7, 10), (20, 10**7)])
     def test_modes_over_the_cap_are_refused_before_allocating(self, n_y, n_z):
@@ -703,3 +732,136 @@ class TestDissipationByKernel:
         assert d_2h is None
         assert scenario_trace(scen, 10.0, DynamicControls(n_z=40, dt=1.0)).warnings == (
             f"{STEP_ERROR_WARNING}=inf",)
+
+
+class TestDrivenBySeparableKernel:
+    """Driven F from its separable memory kernel, and D from the sector's rows."""
+
+    # criterion 2's density and drives
+    CUBIC_Y = PowerLawDensity(amplitude=5e-4, exponent=3.0, support=(0.0, 2.0))
+    CRITERION_2 = DynamicControls(n_y=400, dt=0.0035, horizon=300.0, fit_window=(126.0, 299.0))
+    # a drive slow against a Y band 10 wide: at a step of 0.1 or more the
+    # trapezoid's error dominates the CF4:2 rows', and the default window
+    # ends at 30.2
+    COARSE = RabiDriveScenario(m_y=FLAT_Y, omega_f=0.0, omega=0.4, omega_21=1.0)
+
+    @staticmethod
+    def propagated_d(scen, horizon, controls, offset):
+        """D of the propagated trace model with the drive's clock shifted by offset."""
+        model = build_trace_model(scen, horizon, controls)
+        times = dissipation_trace(model, horizon, controls.dt).times
+        uncoupled = replace(model, v_xi=np.zeros_like(model.v_xi))
+        phi = np.zeros(model.dimension, dtype=complex)
+        phi[1] = 1.0
+        states = dynamics._sampled_states(uncoupled, times, phi, offset)
+        # the denominator of the one coupled mode, at omega_f
+        return times, np.array([state[1] for state in states]) * np.exp(1j * scen.omega_f * times)
+
+    @pytest.mark.parametrize("m_y, omega_f, omega, omega_21, horizon, dt", [
+        (FLAT_Y, 0.0, 0.02, 1.0, 2.0 * np.pi / 0.02, None),  # criterion 7's weak drive
+        (CUBIC_Y, 1.0, 0.4, 5.0, 32.0, 0.0035),  # the benchmark's D chain
+    ], ids=["weak_drive", "benchmark_chain"])
+    def test_d_equals_propagated_at_both_clock_offsets(self, m_y, omega_f, omega, omega_21,
+                                                       horizon, dt):
+        scen = RabiDriveScenario(m_y=m_y, omega_f=omega_f, omega=omega, omega_21=omega_21)
+        controls = DynamicControls(dt=dt)
+        trace = scenario_trace(scen, horizon, controls)
+        full = dissipation_trace(build_trace_model(scen, horizon, controls), horizon, dt)
+        np.testing.assert_array_equal(trace.times, full.times)
+        assert np.abs(trace.values - full.values).max() <= 1e-12
+        # the micromotion flag, its threshold and its value
+        assert trace.warnings == full.warnings
+        assert trace.warnings[0].startswith(f"{dynamics.MICROMOTION_WARNING}=")
+        # and with the drive's clock a quarter period on
+        offset = dynamics._quarter_period(omega_21)
+        times, expected = self.propagated_d(scen, horizon, controls, offset)
+        sub, h = scenarios._drive_steps(scen, times)
+        rows = dynamics._sector_rows(omega, omega_21,
+                                     scenarios._drive_starts(times, sub, h, offset), h)
+        assert np.abs(rows[0, ::sub] - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("omega_21", [1.0, 20.0])
+    def test_default_grid_is_the_propagated_models(self, omega_21):
+        # the last Y mode plus the splitting sets the full model's energy
+        # scale, and omega_f plus the splitting the trace model's
+        scen = RabiDriveScenario(m_y=OFF_CENTRE_BAND.m_y, omega_f=1.0, omega=0.4,
+                                 omega_21=omega_21)
+        controls = DynamicControls(n_y=20)
+        trace, _ = scenario_amplitude(scen, 5.0, controls)
+        full = survival_amplitude(build_dynamic(scen, controls), 5.0)
+        np.testing.assert_array_equal(trace.times, full.times)
+        assert np.abs(trace.values - full.values).max() <= 1e-6
+        model = build_trace_model(scen, 5.0, controls)
+        np.testing.assert_array_equal(scenario_trace(scen, 5.0, controls).times,
+                                      dissipation_trace(model, 5.0).times)
+
+    def test_rows_are_unitary(self):
+        starts = scenarios._drive_starts(np.linspace(0.0, 50.0, 1001), 3, 50.0 / 3000)
+        rows = dynamics._sector_rows(0.4, 5.0, starts, 50.0 / 3000)
+        assert rows.shape == (2, 3001)
+        np.testing.assert_array_equal(rows[:, 0], [1.0, 0.0])
+        assert np.abs(np.abs(rows[0]) ** 2 + np.abs(rows[1]) ** 2 - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("omega", [0.1, 0.2, 0.4])
+    def test_gamma_equals_propagated_on_criterion_2(self, omega):
+        scen = RabiDriveScenario(m_y=self.CUBIC_Y, omega_f=1.0, omega=omega, omega_21=5.0)
+        controls = self.CRITERION_2
+        result, diag = dynamic_gamma(scen, controls)
+        trace, _ = scenario_amplitude(scen, controls.horizon, controls)
+        full = survival_amplitude(build_dynamic(scen, controls), controls.horizon, controls.dt)
+        np.testing.assert_array_equal(trace.times, full.times)
+        propagated = fit_decay(full, controls.fit_window)[0].gamma
+        # the propagated route's own CF4:2 error is about 1.5e-6
+        assert result.gamma == pytest.approx(propagated, rel=3e-6)
+        assert diag.step_error < 1e-4
+        assert result.warnings == ()
+
+    def test_amplitude_error_is_second_order_in_the_step(self):
+        # F on the samples of the propagated full model, off by the
+        # trapezoid's error: about 3.8e-5 at a step of 0.05
+        scen = replace(self.COARSE, omega=1.0)
+        errors = []
+        for dt in (0.05, 0.025):
+            controls = DynamicControls(n_y=60, dt=dt)
+            trace, _ = scenario_amplitude(scen, 10.0, controls)
+            full = survival_amplitude(build_dynamic(scen, controls), 10.0, dt)
+            np.testing.assert_array_equal(trace.times, full.times)
+            errors.append(np.abs(trace.values - full.values).max())
+        assert errors[0] <= 1e-4
+        assert 3.5 < errors[0] / errors[1] < 4.5
+
+    @pytest.mark.parametrize("dt", [0.1, 0.2])
+    def test_step_error_estimates_the_true_error(self, dt):
+        # the reference solves at a step 10 times finer: both grids have
+        # under 4000 steps, so every step is a sample and one CF4:2 step
+        result, diag = dynamic_gamma(self.COARSE, DynamicControls(n_y=120, dt=dt))
+        reference, fine = dynamic_gamma(self.COARSE, DynamicControls(n_y=120, dt=dt / 10.0))
+        assert fine.window == diag.window
+        true_error = abs(result.gamma / reference.gamma - 1.0)
+        assert 0.5 * true_error <= diag.step_error <= 2.0 * true_error
+        assert fine.step_error < 0.02 * true_error
+        flagged = f"{STEP_ERROR_WARNING}={diag.step_error:.3g}" in result.warnings
+        assert flagged == (diag.step_error > 1e-4)
+        assert flagged == (dt == 0.2)
+
+    def test_step_too_coarse_for_the_kernel_raises(self):
+        # three modes against rows turning at 0.65: at a step of 2.6 the
+        # solve lifts |F| above 1, at 1.3 it does not
+        results = []
+        for h, n in ((2.6, 40), (1.3, 80)):
+            t = h * np.arange(n)
+            kernel = np.exp(-1j * np.outer(t, [0.41, -2.0, -0.77])) @ [0.08, 0.37, 2.0]
+            rows = np.array([np.cos(0.65 * t), -1j * np.sin(0.65 * t)])
+            try:
+                results.append(np.abs(dynamics._separable_solve(h, kernel, rows)).max())
+            except StepTooLargeError:
+                results.append(None)
+        assert results[0] is None and results[1] <= 1.0 + 1e-9
+
+    def test_full_driven_model_is_never_built(self, monkeypatch):
+        def refuse(model):
+            raise AssertionError("a driven row built a DiscretizedModel")
+
+        monkeypatch.setattr(DiscretizedModel, "__post_init__", refuse)
+        scenario_trace(self.COARSE, 10.0)
+        dynamic_gamma(self.COARSE, DynamicControls(n_y=120))
