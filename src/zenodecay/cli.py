@@ -13,10 +13,8 @@ field's annotation, and a field without a default is required.
 
 Units follow the library convention: hbar = 1, energies in one user-chosen
 unit, times in its inverse.  ``--jobs N`` evaluates up to N rows at once,
-each in its own worker process; all outputs are deterministic for a given
-config and byte-identical for every --jobs.  The workers fork from one
-forkserver per calling process, which imports ``zenodecay.cli`` once, so the
-first pooled sweep pays that import and later ones start in milliseconds.
+on threads of the calling process; all outputs are deterministic for a
+given config and byte-identical for every --jobs.
 """
 
 from __future__ import annotations
@@ -28,12 +26,9 @@ import functools
 import io
 import json
 import logging
-import multiprocessing
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-# unused here since rows run in processes; perfbench/tracing.py and its
-# test still patch cli.ThreadPoolExecutor, so the name stays importable
-from concurrent.futures import ThreadPoolExecutor  # noqa: F401
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
@@ -400,30 +395,22 @@ def _evaluate_row(config: ParsedConfig, value: float) -> dict:
 def run_sweep(config: ParsedConfig, jobs: int = 1) -> list[dict]:
     """One row per sweep value, assembled in sweep order.
 
-    With jobs > 1, up to jobs rows are evaluated at once in worker
-    processes; the rows are the same as those of the serial sweep.  The
-    workers fork from one forkserver per calling process, which imports
-    ``zenodecay.cli`` once, so only the first pooled sweep pays that import
-    (``spawn`` stands in where there is no forkserver).  The server is a
-    fresh single-threaded interpreter: forking the caller itself would copy
-    its threads' locks in whatever state they hold.  As with spawn, the
-    caller's monkeypatches do not reach the workers, and the preload list
-    set here replaces any the caller set before the server started.  The
-    server imports the library from the interpreter's own import path
-    (``PYTHONPATH``, the working directory, installed packages): entries the
-    caller added to ``sys.path`` at run time do not reach it on Python 3.11,
-    so the caller must import the copy that path finds.
+    With jobs > 1, up to jobs rows, and no more than the machine has cores,
+    are evaluated at once on a thread pool in the calling process; the rows
+    are the same as those of the serial sweep.  The threads overlap because
+    a row's FFTs and array passes release the GIL.  This holds only while
+    the rows share nothing they write: they read the frozen config and
+    scenarios, the densities' private grids, which ``np.interp`` only reads,
+    and scipy.fft's plan cache, which takes a lock; and no row uses
+    ``warnings.catch_warnings``, which swaps the process-wide filters.
     """
     values = [float(v) for v in config.sweep_values]
-    workers = min(jobs, len(values))
+    workers = min(jobs, len(values), os.cpu_count() or 1)
     if workers <= 1:
         return [_evaluate_row(config, v) for v in values]
-    if "forkserver" in multiprocessing.get_all_start_methods():
-        context = multiprocessing.get_context("forkserver")
-        context.set_forkserver_preload(["zenodecay.cli"])
-    else:
-        context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+    # the module's name, read at call time: an executor put in its place
+    # runs the rows
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(functools.partial(_evaluate_row, config), values))
 
 
@@ -550,8 +537,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="evaluate the sweep and report one row per value")
     add_io(p_run)
     p_run.add_argument("--jobs", type=int, default=1,
-                       help="rows evaluated at once, each in a worker process forked "
-                            "from one preloaded server (default 1)")
+                       help="rows evaluated at once, on threads of this process, "
+                            "at most one per core (default 1)")
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="check the config and exit")

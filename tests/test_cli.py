@@ -5,7 +5,6 @@ import io
 import json
 import logging
 import math
-import multiprocessing
 import os
 import pathlib
 import signal
@@ -719,30 +718,48 @@ class TestRunSweep:
             assert serial == pooled
         assert ",error," in pooled and "fold the shift" in pooled
 
-    @pytest.mark.parametrize("methods", [None, ["spawn"]],
-                             ids=["listed", "spawn-only"])
-    def test_pool_start_method(self, monkeypatch, methods):
-        contexts = []
+    def test_patched_rows_come_back_in_sweep_order(self, monkeypatch):
+        # the rows run in this process, so a patch of the module reaches
+        # each of them; earlier rows sleep longer and finish last, and a
+        # short switch interval interleaves the threads' bytecode finely
+        values = [0.1, 0.2, 0.3, 0.4]
+        analytic = cli.analytic_gamma
+        seen = []
 
-        class Recorder(cli.ProcessPoolExecutor):
-            def __init__(self, *args, mp_context=None, **kwargs):
-                contexts.append(mp_context)
-                super().__init__(*args, mp_context=mp_context, **kwargs)
+        def tagged(scenario, kernel):
+            seen.append(scenario.omega)
+            time.sleep(0.02 * (len(values) - values.index(scenario.omega)))
+            result = analytic(scenario, kernel)
+            return dataclasses.replace(result, warnings=(f"row {scenario.omega!r}",))
 
-        if methods is None:
-            listed = multiprocessing.get_all_start_methods()
-            want = "forkserver" if "forkserver" in listed else "spawn"
-        else:
-            monkeypatch.setattr(multiprocessing, "get_all_start_methods",
-                                lambda: methods)
-            want = "spawn"
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
-        config = parse_config(rabi_config())
+        monkeypatch.setattr(cli, "analytic_gamma", tagged)
+        config = parse_config(rabi_config(sweep={"path": "rabi.omega", "values": values}))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rows = run_sweep(config, jobs=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(seen) == values
+        assert [row["sweep_value"] for row in rows] == values
+        assert [row["warnings"] for row in rows] == [f"row {v!r}" for v in values]
+
+    def test_pool_is_capped_at_the_cores(self, monkeypatch):
+        sizes = []
+
+        class Recorder(cli.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Recorder)
+        cores = os.cpu_count() or 1
+        values = list(np.linspace(0.1, 0.5, cores + 2))
+        config = parse_config(rabi_config(sweep={"path": "rabi.omega", "values": values}))
         columns = sweep_columns(config.routes)
-        serial = render_rows(run_sweep(config, jobs=1), columns, "csv")
-        pooled = render_rows(run_sweep(config, jobs=2), columns, "csv")
-        assert [c.get_start_method() for c in contexts] == [want]
-        assert pooled == serial
+        pooled = render_rows(run_sweep(config, jobs=64), columns, "csv")
+        assert sizes == ([cores] if cores > 1 else [])
+        assert pooled == render_rows(run_sweep(config, jobs=1), columns, "csv")
 
     def test_coarse_cascade_step_is_flagged_and_row_stays_ok(self):
         cfg = rabi_config(
