@@ -9,18 +9,13 @@ decay constant; evolving V|psi0> under H0 + W alone, the same propagation
 with the decay coupling switched off, gives the sampled dissipation
 function D(tau).
 
-The reference propagator evolves every model by a truncated Taylor series
-of the matrix exponential (Al-Mohy and Higham, SIAM J. Sci. Comput. 33 (2011) 488)
-over a uniform sample grid; a driven model takes 4th-order
-commutator-free Magnus steps (CF4:2), each two such exponentials.  Each
-exponential is evaluated by Horner's rule in two vectors, one sparse
-product added into a scaled copy of the state per power, with no dense
-product and no BLAS call.  Every model runs one sample loop, which keeps
-the static part of an exponential and the drive amplitude (empty for a
-static model) on one sparsity pattern, so its matrix is one data array.
-The propagator hands its samples over one state at a time, so
-survival_amplitude and dissipation_trace keep one reduced value per
-sample and never the full state matrix; propagate stacks the states.
+The reference propagator is dense and small.  A static model is one
+eigendecomposition (numpy.linalg.eigh) of its Hermitian matrix; a driven
+model takes 4th-order commutator-free Magnus steps (CF4:2) on a uniform
+sample grid, each two exponentials from an eigh of the step's dense
+generator.  The dense matrix counts against the one allocation cap, so a
+reference stops at 2000 states.  dissipation_trace projects each sample
+as it comes and keeps one value per sample; propagate stacks the states.
 
 When every decay mode carries its own copy of one final-state sector, the
 level amplitude obeys the memory-kernel equation
@@ -37,8 +32,10 @@ call.  A driven 2x2 sector gives the separable K(t, s) = C(t - s)
 propagator: _sector_rows composes it from the sector's closed-form CF4:2
 steps by a prefix scan, and _separable_solve solves for F by divide and
 conquer in O(N log^2 N), again with no BLAS call.  So no production path
-propagates: propagate, survival_amplitude and dissipation_trace are the
-references that both routes' solves are tested against.
+propagates: propagate and dissipation_trace are the dense references that
+both routes' solves are tested against.  survival_amplitude solves a bare
+decay model, one with no W and no drive, by its memory kernel C(tau)
+alone: the golden-rule reference.
 """
 
 from __future__ import annotations
@@ -48,9 +45,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import fft, sparse
-# the kernel behind `A @ x`, called without the per-product dispatch that
-# costs more than the product itself on small models
-from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import (
     DimensionOverBudgetError,
@@ -82,22 +76,22 @@ __all__ = [
 MICROMOTION_WARNING = "micromotion_spread"
 
 _HERMITICITY_TOL = 1e-12
-_NORM_DRIFT_LIMIT = 1e-6
 _DENOMINATOR_FLOOR = 1e-12
 _MIN_FIT_SAMPLES = 8
 # |F| may exceed 1 by this much in rounding
 _UNITARITY_TOL = 1e-9
 # points of any array either route sizes, at most, each counted before it
 # is allocated: a model's stored entries (states, couplings and the
-# nonzeros of W and the drive), propagate's samples x states, D's samples
-# x coupled modes, and the memory-kernel route's modes, solve steps,
-# chirp-z sums and sector-row scans (four points a step).  A memory-kernel
-# solve peaks at about 160 bytes a step, a driven one at about 400;
-# building a model and taking its survival amplitude peaks at 441 bytes a
-# state driven (n_y 20,000) and 477 for a cascade (400 x 100), 159-177
-# bytes a stored entry (tracemalloc, numpy 2.4, scipy 1.17).  So either
-# route peaks near 0.7 GB at the cap
+# nonzeros of W and the drive), a reference's dense matrix (states x
+# states), propagate's samples x states, D's samples x coupled modes, and
+# the memory-kernel route's modes, solve steps, chirp-z sums and
+# sector-row scans (four points a step).  A memory-kernel solve peaks at
+# about 160 bytes a step, a driven one at about 400 (tracemalloc, numpy
+# 2.4, scipy 1.17), so either route peaks near 0.7 GB at the cap; a dense
+# reference holds a few matrices of 64 MB there
 _MAX_ARRAY_POINTS = 4_000_000
+# points (samples x states) of a block of a static reference's samples
+_BLOCK_POINTS = 2**16
 # drive phase omega_d h of one CF4:2 step at most
 _DRIVE_PHASE_STEP = 0.5
 # CF4:2 weights of the drive at the two Gauss points of a step, and those
@@ -144,7 +138,8 @@ class DiscretizedModel:
         other indices in 1..n-1 are reached only through W.
     w_static: Hermitian final-state interaction (row/col 0 empty).
     drive: optional oscillating part of W.
-    xi_spacing: grid spacing of the xi continuum, sets the recurrence time.
+    xi_spacing: grid spacing of the xi continuum, sets the recurrence time;
+        None or finite and positive.
 
     Instances are treated as immutable after construction.
     """
@@ -180,6 +175,9 @@ class DiscretizedModel:
             object.__setattr__(self, "w_static", w)
         if self.drive is not None and self.drive.amplitude.shape != (n, n):
             raise ValueError(f"drive amplitude must be {n} x {n}")
+        if self.xi_spacing is not None and not 0.0 < self.xi_spacing < np.inf:
+            raise ValueError(f"xi_spacing must be None or finite and positive, "
+                             f"got {self.xi_spacing}")
 
     @property
     def dimension(self) -> int:
@@ -187,9 +185,7 @@ class DiscretizedModel:
 
     @property
     def recurrence_time(self) -> float | None:
-        if self.xi_spacing:
-            return 2.0 * np.pi / self.xi_spacing
-        return None
+        return None if self.xi_spacing is None else 2.0 * np.pi / self.xi_spacing
 
 
 @dataclass(frozen=True)
@@ -266,17 +262,21 @@ def build_decay_model(
     )
 
 
-def _static_matrix(model: DiscretizedModel):
-    """H0 + V + W, converted to CSR from one coordinate list."""
-    n = model.dimension
-    w = sparse.coo_matrix(model.w_static if model.w_static is not None else (n, n))
-    diag = np.arange(n)
+def _dense_hamiltonian(model: DiscretizedModel):
+    """H0 + V + W as a dense matrix, capped before it is built."""
+    _capped(model.dimension**2, "dense matrix")
+    h = np.diag(model.h0_diag.astype(complex))
     xi = np.arange(1, model.v_xi.size + 1)
-    zeros = np.zeros_like(xi)
-    rows = np.concatenate([diag, xi, zeros, w.row])
-    cols = np.concatenate([diag, zeros, xi, w.col])
-    data = np.concatenate([model.h0_diag, model.v_xi, np.conj(model.v_xi), w.data])
-    return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+    h[xi, 0] = model.v_xi
+    h[0, xi] = np.conj(model.v_xi)
+    if model.w_static is not None:
+        h += model.w_static.toarray()
+    return _real_if_exact(h)
+
+
+def _real_if_exact(matrix):
+    """matrix, as real numbers when it has no imaginary part, where eigh runs up to 6x faster."""
+    return matrix if matrix.imag.any() else np.ascontiguousarray(matrix.real)
 
 
 def _energy_scale(h0, v, w=None, drive=None) -> float:
@@ -325,124 +325,6 @@ def _time_grid(horizon, dt, scale):
     return _uniform_grid(horizon, *_grid_steps(horizon, dt, scale))
 
 
-# theta_m: the largest ||A||_1 t for which the degree-m truncated Taylor
-# series of exp(tA) has backward error below 2^-53 (double precision).
-# m = 1..30 from N. J. Higham, Functions of Matrices (SIAM, 2008), Table A.3;
-# m = 35..55 from A. H. Al-Mohy and N. J. Higham, SIAM J. Sci. Comput. 33
-# (2011) 488, Table 3.1.
-_TAYLOR_THETA = {
-    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
-    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
-    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
-    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
-    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
-    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
-    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
-}
-
-
-def _taylor_plan(x):
-    """Degree m and substeps s of the Taylor series for ||A||_1 t = x.
-
-    s = ceil(x / theta_m) substeps keep each expansion within theta_m; the
-    plan with the fewest sparse products m s wins, ties going to the lower
-    degree.
-    """
-    return min(((m, max(1, math.ceil(x / theta))) for m, theta in _TAYLOR_THETA.items()),
-               key=lambda plan: plan[0] * plan[1])
-
-
-def _shared_pattern(a, b):
-    """(indptr, indices, a data, b data): a and b on the union of their patterns.
-
-    Both are converted from one coordinate list in which the other's
-    entries are explicit zeros, so the two share indptr and indices.
-    """
-    a, b = a.tocoo(), b.tocoo()
-    coords = (np.concatenate([a.row, b.row]), np.concatenate([a.col, b.col]))
-    on_a = sparse.csr_matrix((np.concatenate([a.data, np.zeros_like(b.data)]), coords), a.shape)
-    on_b = sparse.csr_matrix((np.concatenate([np.zeros_like(a.data), b.data]), coords), a.shape)
-    return on_a.indptr, on_a.indices, on_a.data, on_b.data
-
-
-def _taylor_states(static, drive, psi0, times, t_offset=0.0):
-    """exp(-i H t_j) psi0 on the uniform grid times, one state per sample.
-
-    Truncated Taylor series (Al-Mohy and Higham 2011) of the generator
-    shifted by its mean diagonal, whose exponential is an exact scalar
-    phase.  A driven sample takes ceil(omega_d spacing / 0.5) CF4:2 steps,
-    each two exponentials of H_s/2 + c X with c drawn from the drive at the
-    step's Gauss points (Blanes and Moan, Appl. Numer. Math. 56 (2006)
-    1519); a static sample is one exponential of H_s over the sample
-    spacing, with an empty X.  H_s and X share one sparsity pattern, so
-    the matrix of an exponential is one data array, rewritten per
-    exponential only when the drive has a frequency.
-    Every exponential, taken in s substeps, applies the degree-m series of
-    exp(B) by Horner's rule in two vectors: from v_m = psi,
-    v_{p-1} = (m!/(p-1)!) psi + B v_p, and exp(B) psi = v_0 / m!, so each
-    power is one sparse product added into a scaled copy of psi.  A state
-    whose norm drifted beyond 1e-6 of psi0's raises StepTooLargeError.  The
-    yielded states are fresh arrays.
-    """
-    n = psi0.size
-    horizon = times[-1]
-    shift = float(static.diagonal().real.mean())
-    # the horizon's sign sits in the generator, so the series always runs
-    # forward over |t|
-    generator = (-1j * np.sign(horizon)) * (static - shift * sparse.identity(n, format="csr"))
-    spacing = abs(horizon) / (times.size - 1)
-    # the weights of the drive at the two Gauss points, one pair per
-    # exponential of a step
-    exponentials = ((1.0, 0.0),) if drive is None else (_CF4_WEIGHTS, _CF4_WEIGHTS[::-1])
-    drive = drive or DriveTerm(sparse.csr_matrix((n, n)), 0.0)
-    steps = max(1, math.ceil(drive.frequency * spacing / _DRIVE_PHASE_STEP))
-    amplitude = (-1j * np.sign(horizon)) * drive.amplitude
-    h = spacing / steps
-    # |c| <= a + |b| = 1/sqrt(3) for a driven model
-    norm = (float(abs(generator).sum(axis=0).max()) / len(exponentials)
-            + float(abs(amplitude).sum(axis=0).max()) / math.sqrt(3.0))
-    m, s = _taylor_plan(norm * h)
-    # m!/(p-1)! for p = m .. 1, the last m!
-    scales = np.cumprod(np.arange(m, 0, -1, dtype=float))
-    # H_s, halved for a driven model, and X, both over one substep
-    indptr, indices, h_data, x_data = _shared_pattern(
-        (h / len(exponentials) / s) * generator, (h / s) * amplitude
-    )
-    # the matrix of an exponential, which a drive of frequency 0 leaves fixed
-    data = h_data + sum(exponentials[0]) * x_data
-    psi = np.array(psi0, dtype=complex, copy=True)
-    buffers = np.empty((2, n), dtype=complex)
-    # along an axis, norm sums by ufunc rather than by a BLAS dot
-    norm0 = float(np.linalg.norm(psi0, axis=0))
-    tau = math.copysign(h, horizon)
-    yield psi.copy()
-    for j in range(1, times.size):
-        for k in range(steps):
-            t = t_offset + times[j - 1] + k * tau
-            c1, c2 = ((math.cos(drive.frequency * (t + node * tau)) for node in _CF4_NODES)
-                      if drive.frequency else (1.0, 1.0))
-            for a, b in exponentials:
-                if drive.frequency:
-                    np.multiply(x_data, a * c1 + b * c2, out=data)
-                    np.add(data, h_data, out=data)
-                for _ in range(s):
-                    v, w = buffers
-                    np.copyto(v, psi)
-                    for scale in scales:
-                        np.multiply(psi, scale, out=w)
-                        # csr_matvec adds B v to w
-                        csr_matvec(n, n, indptr, indices, data, v, w)
-                        v, w = w, v
-                    np.divide(v, scales[-1], out=psi)
-        state = psi * np.exp(-1j * shift * times[j])
-        drift = abs(float(np.linalg.norm(state, axis=0)) - norm0)
-        if drift > _NORM_DRIFT_LIMIT * max(norm0, 1e-300):
-            raise StepTooLargeError(
-                f"norm drifted by {drift:.3e}; a Taylor step outran its series"
-            )
-        yield state
-
-
 def _capped(points: int, what: str) -> int:
     """points, refused with DimensionOverBudgetError above _MAX_ARRAY_POINTS."""
     if points > _MAX_ARRAY_POINTS:
@@ -451,25 +333,58 @@ def _capped(points: int, what: str) -> int:
     return points
 
 
-def _sampled_states(model, times, initial_state=None, t_offset=0.0):
-    """Lazy states sampled at times, of every propagation.
-
-    The states are a generator, so a caller can check the times before any
-    state is propagated.  t_offset shifts the drive's clock.  The model's
-    stored entries are capped before its matrix is built.
-    """
+def _initial_state(model, initial_state=None):
+    """psi0: the initial level, or initial_state; the model's stored entries are capped first."""
     n = model.dimension
     w = 0 if model.w_static is None else model.w_static.nnz
     drive = 0 if model.drive is None else model.drive.amplitude.nnz
     _capped(n + model.v_xi.size + w + drive, "model")
     if initial_state is None:
-        psi0 = np.zeros(n, dtype=complex)
-        psi0[0] = 1.0
-    else:
-        psi0 = np.asarray(initial_state, dtype=complex)
-        if psi0.shape != (n,) or not np.all(np.isfinite(psi0)):
-            raise ValueError("initial_state must be a finite length-n vector")
-    return _taylor_states(_static_matrix(model), model.drive, psi0, times, t_offset)
+        initial_state = np.eye(1, n)[0]
+    psi0 = np.asarray(initial_state, dtype=complex)
+    if psi0.shape != (n,) or not np.all(np.isfinite(psi0)):
+        raise ValueError("initial_state must be a finite length-n vector")
+    return psi0
+
+
+def _evolved(model, times, psi0, bra=None, t_offset=0.0):
+    """psi(t_j) on the uniform grid times, or bra @ psi(t_j) given a bra, one sample at a time.
+
+    The first sample is psi0 exactly.  A static model is one eigh of its
+    dense matrix, psi(t) = V exp(-i E t) V^H psi0, with the bra folded into
+    V first, so a sample costs n products with one and n^2 without, and a
+    block of about 2^16 samples x states is one matrix product.  A driven
+    sample takes ceil(omega_d spacing / 0.5) CF4:2 steps, each two
+    exponentials of H_s/2 + c X with c drawn from the drive at the step's
+    Gauss points (Blanes and Moan, Appl. Numer. Math. 56 (2006) 1519), and
+    each exponential is an eigh of its dense generator.  t_offset shifts
+    the drive's clock.
+    """
+    static = _dense_hamiltonian(model)
+    yield psi0 if bra is None else bra @ psi0
+    if model.drive is None:
+        energies, vectors = np.linalg.eigh(static)
+        weights = vectors.conj().T @ psi0
+        # the transposed states of a block are (exp(-i E t) weights) V^T
+        basis = vectors.T.astype(complex) if bra is None else vectors.T @ bra
+        rows = max(1, _BLOCK_POINTS // psi0.size)
+        for j in range(1, times.size, rows):
+            yield from (np.exp(-1j * np.outer(times[j:j + rows], energies)) * weights) @ basis
+        return
+    frequency = model.drive.frequency
+    amplitude = _real_if_exact(model.drive.amplitude.toarray())
+    spacing = times[-1] / (times.size - 1)
+    steps = max(1, math.ceil(frequency * abs(spacing) / _DRIVE_PHASE_STEP))
+    h = spacing / steps
+    psi = psi0
+    for start in times[:-1]:
+        for k in range(steps):
+            t = t_offset + start + k * h
+            c1, c2 = (math.cos(frequency * (t + node * h)) for node in _CF4_NODES)
+            for a, b in (_CF4_WEIGHTS, _CF4_WEIGHTS[::-1]):
+                energies, vectors = np.linalg.eigh(0.5 * static + (a * c1 + b * c2) * amplitude)
+                psi = vectors @ (np.exp(-1j * h * energies) * (vectors.conj().T @ psi))
+        yield psi if bra is None else bra @ psi
 
 
 def propagate(
@@ -479,32 +394,26 @@ def propagate(
     *,
     initial_state: np.ndarray | None = None,
 ) -> Trajectory:
-    """Integrate the Schroedinger equation from t = 0 to t = horizon.
+    """Integrate the Schroedinger equation from t = 0 to t = horizon, densely.
 
-    Static models are evolved by a truncated Taylor series of the matrix
-    exponential (Al-Mohy and Higham 2011), one expansion per sample,
-    substepped where one sample spacing is too long for a degree-55
-    series.  Driven models take CF4:2 commutator-free Magnus steps (Blanes
-    and Moan 2006), each two such exponentials of H_s/2 + c X with c read
-    from the drive at the step's Gauss points, and as many steps per sample
-    as keep the drive phase of a step at or below 0.5.  Each exponential is
-    a Horner sum in two vectors, one sparse product per power.  dt defaults to
-    0.02 over the largest energy scale and sets only the sample grid: every
-    stride-th point of a grid of spacing dt, the stride max(1, steps // 2000)
-    for a grid of that many steps.  A negative horizon (with negative dt)
-    integrates backwards.  Norm drift beyond 1e-6 raises
-    StepTooLargeError.  Every sampled state is kept; survival_amplitude
-    keeps only the initial level's amplitude.  A model of more than 4
-    million stored entries, or a state matrix of more than 4 million
-    points (samples x states), raises DimensionOverBudgetError before it
-    is allocated.
+    The dense reference (_evolved): one eigh of a static model's Hermitian
+    matrix, or CF4:2 steps of a driven one, as many a sample as keep the
+    drive phase of a step at or below 0.5, each exponential an eigh of its
+    dense generator.  dt defaults to 0.02 over the largest energy scale and
+    sets only the sample grid: every stride-th point of a grid of spacing
+    dt, the stride max(1, steps // 2000) for a grid of that many steps.  A
+    negative horizon (with negative dt) integrates backwards.  A model of
+    more than 4 million stored entries, a state matrix of more than 4
+    million points (samples x states) or a dense matrix of more than 2000
+    states raises DimensionOverBudgetError, in that order, before it is
+    allocated.
     """
     times = _time_grid(horizon, dt, _energy_scale(model.h0_diag, model.v_xi, model.w_static,
                                                    model.drive))
-    sampled = _sampled_states(model, times, initial_state)
+    psi0 = _initial_state(model, initial_state)
     _capped(times.size * model.dimension, "state matrix")
     states = np.empty((times.size, model.dimension), dtype=complex)
-    for row, state in enumerate(sampled):
+    for row, state in enumerate(_evolved(model, times, psi0)):
         states[row] = state
     return Trajectory(times=times, states=states)
 
@@ -514,20 +423,34 @@ def survival_amplitude(
     horizon: float,
     dt: float | None = None,
 ) -> AmplitudeTrace:
-    """No-decay amplitude of the initial level, F(t) = <0|psi(t)> exp(i E0 t).
+    """No-decay amplitude of a bare decay model, F(t) = <0|psi(t)> exp(i E0 t).
 
-    Propagates as propagate does, from the initial level, on the same
-    sample grid and to the same bits as
-    no_decay_amplitude(propagate(...), E0), but keeps only the first
-    component of each state.  Memory therefore grows with the number of
-    samples or with the dimension, never with their product.
+    The golden-rule reference.  With no W and no drive, F' = -int C F
+    exactly, C(tau) = sum_k |v_k|^2 exp(-i (E_k - E0) tau): the cascade's F
+    with D = 1.  C is a chirp-z sum over the coupled modes, whose energies
+    must be equally spaced (else NonUniformGridError, before any array is
+    sized), and F is solved by the trapezoid rule on every step of
+    propagate's grid and returned on its samples: 5e-8 off the propagated
+    F on criterion 1's model.  A model with W or a drive raises ValueError,
+    and no_decay_amplitude(propagate(...)) is its reference.  The solve and
+    its chirp-z sums are capped before they are allocated.
     """
-    times = _time_grid(horizon, dt, _energy_scale(model.h0_diag, model.v_xi, model.w_static,
-                                                   model.drive))
-    states = _sampled_states(model, times)
-    column = np.fromiter((state[0] for state in states), complex, times.size)
-    values = column * np.exp(1j * model.h0_diag[0] * times)
-    return AmplitudeTrace(times=times, values=values)
+    for name, part in (("W", model.w_static), ("drive", model.drive)):
+        if part is not None:
+            raise ValueError(f"{model.label or 'the model'} has a {name}; survival_amplitude takes "
+                             "neither, and no_decay_amplitude(propagate(...)) is its reference")
+    energies = model.h0_diag[1:1 + model.v_xi.size] - model.h0_diag[0]
+    first = energies[0] if energies.size else 0.0
+    spacing = (energies[-1] - first) / (energies.size - 1) if energies.size > 1 else 0.0
+    if np.abs(np.diff(energies) - spacing).max(initial=0.0) > 1e-9 * abs(spacing):
+        raise NonUniformGridError("survival_amplitude needs equally spaced mode energies")
+    n_dt, stride = _grid_steps(horizon, dt, _energy_scale(model.h0_diag, model.v_xi))
+    _capped(n_dt + 1, "memory-kernel solve")
+    _capped(n_dt + 1 + energies.size, "chirp-z sum")
+    step = horizon / n_dt
+    correlation = _chirp_sums(first, spacing, np.abs(model.v_xi) ** 2, step, n_dt + 1)
+    return AmplitudeTrace(times=_uniform_grid(horizon, n_dt, stride),
+                          values=_volterra_solve(step, correlation)[::stride])
 
 
 def no_decay_amplitude(trajectory: Trajectory, e0: float) -> AmplitudeTrace:
@@ -594,20 +517,20 @@ def dissipation_trace(
 ) -> DissipationTrace:
     """Sample D(tau): interacting versus free evolution of V|psi0>.
 
-    The numerator propagates the normalized V|psi0> as propagate does,
-    under the model with its decay coupling switched off (H0 + W), and
-    projects each sample back onto it; the denominator is the closed-form
-    free evolution, checked for zeros before anything is propagated.  For
-    driven models the run is repeated with the drive's clock shifted by a
-    quarter period, and the spread between the two traces (micromotion) is
-    attached as a warning when it is visible.  |D| <= 1 holds for one coupled
-    mode; a model of several whose D leaves it raises ValueError.  The
-    denominator's samples x coupled modes and the model's stored entries
-    are capped at 4 million points each, before they are allocated.
+    The numerator evolves the normalized V|psi0> by propagate's dense
+    reference under H0 + W, the decay coupling off, and projects each
+    sample onto it as it comes; the denominator is the closed-form free
+    evolution, checked for zeros before anything is evolved.  A driven
+    model is run again with the drive's clock a quarter period on, and the
+    spread between the two traces (micromotion) is flagged when visible.
+    |D| <= 1 holds for one coupled mode; a model of several whose D leaves
+    it raises ValueError.  The denominator (samples x coupled modes), the
+    model's stored entries and its dense matrix are capped at 4 million
+    points each, in that order, before they are allocated.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    # the grid of the propagation, which runs with the decay coupling off
+    # the grid of the evolution, which runs with the decay coupling off
     scale = _energy_scale(model.h0_diag, (), model.w_static, model.drive)
     return _sampled_dissipation(model, _time_grid(horizon, dt, scale))
 
@@ -640,20 +563,20 @@ def _sampled_dissipation(model, times) -> DissipationTrace:
             "free-evolution overlap passes through zero on the sample grid"
         )
     uncoupled = replace(model, v_xi=np.zeros_like(model.v_xi))
-    bra = np.conj(phi)
+    psi0 = _initial_state(uncoupled, phi)
 
-    def overlap(states):
-        return np.fromiter((state @ bra for state in states), complex, times.size)
+    def overlap(t_offset=0.0):
+        samples = _evolved(uncoupled, times, psi0, np.conj(phi), t_offset)
+        return np.fromiter(samples, complex, times.size) / denominator
 
-    values = overlap(_sampled_states(uncoupled, times, phi)) / denominator
+    values = overlap()
     coupled, peak = np.count_nonzero(model.v_xi), np.abs(values).max()
     if coupled > 1 and peak > 1.0 + 1e-8:
         raise ValueError(f"|D| reaches {peak:.4g}: the level couples to "
                          f"{coupled} modes, and |D| <= 1 holds for one coupled mode")
     flags = ()
     if model.drive is not None and model.drive.frequency > 0:
-        shifted = _sampled_states(uncoupled, times, phi, _quarter_period(model.drive.frequency))
-        flags = _micromotion_flags(values, overlap(shifted) / denominator)
+        flags = _micromotion_flags(values, overlap(_quarter_period(model.drive.frequency)))
     return DissipationTrace(
         times=times, values=values, label=model.label, warnings=flags
     )

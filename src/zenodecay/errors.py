@@ -49,11 +49,7 @@ class DomainError(ZenoError):
 
 
 class StepTooLargeError(ZenoError):
-    """A step too coarse for its numerics.
-
-    Propagation norm drift exceeded budget (a Taylor step outran its
-    series), or a memory-kernel solve lifted |G| or |F| above 1.
-    """
+    """A step too coarse for its numerics: a memory-kernel solve lifted |G| or |F| above 1."""
 
     slug = "step_too_large"
 

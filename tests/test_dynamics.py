@@ -3,8 +3,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 from scipy import linalg, sparse
 from scipy.integrate import solve_ivp
 
@@ -139,6 +137,12 @@ class TestModelValidation:
         assert model.recurrence_time == pytest.approx(2.0 * np.pi)
         bare = two_level()
         assert bare.recurrence_time is None
+
+    @pytest.mark.parametrize("spacing", [np.nan, -1.0, 0.0, np.inf])
+    def test_xi_spacing_must_be_finite_and_positive(self, spacing):
+        # a NaN recurrence time would let fit_decay's check pass any window
+        with pytest.raises(ValueError, match="xi_spacing must be None or finite and positive"):
+            DiscretizedModel(h0_diag=np.zeros(2), v_xi=np.ones(1), xi_spacing=spacing)
 
     def test_caller_arrays_stay_writeable(self):
         h0, v = np.array([0.0, 1.0, 2.0]), np.array([0.5, 0.5], dtype=complex)
@@ -306,107 +310,39 @@ class TestPropagation:
             tracemalloc.stop()
         assert peak < 10 * 2**20
 
-    @pytest.mark.parametrize("frequency", [None, 1.3], ids=["static", "driven"])
-    def test_norm_drift_guard_trips_on_overstated_theta(self, monkeypatch, frequency):
-        # a degree-2 series trusted out to ||A|| t = 10 outruns its step
-        monkeypatch.setattr(dynamics, "_TAYLOR_THETA", {2: 10.0})
-        model = chain_model(np.random.default_rng(7))
-        if frequency is not None:
-            model = zero_frequency_twin(model, frequency)
-        with pytest.raises(StepTooLargeError):
-            propagate(model, 20.0, 0.5)
+    def test_dense_matrix_over_the_cap_is_refused_before_allocating(self):
+        # 2001 states: the dense reference's matrix alone would take 64 MB
+        model = build_decay_model(FlatDensity(level=0.05, support=(-1.0, 1.0)), 0.0, 2000)
+        message = "^dense matrix needs 4004001 points, at most 4000000$"
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionOverBudgetError, match=message):
+                propagate(model, 1.0, 0.5)
+            with pytest.raises(DimensionOverBudgetError, match=message):
+                dissipation_trace(model, 1.0, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
 
 class TestTaylorPropagator:
+    """propagate against an independent dense reference, and survival_amplitude against
+    propagate; the name predates the dense reference."""
+
     @staticmethod
     def initial(model):
         psi0 = np.zeros(model.dimension, dtype=complex)
         psi0[0] = 1.0
         return psi0
 
-    # theta_55 = 9.9, so x up to 1e3 takes up to about 100 substeps
-    @given(x=st.floats(0.0, 1e3))
-    @example(x=0.0).via("no motion")
-    @example(x=9.9).via("theta_55 itself")
-    @example(x=500.0).via("far past theta_55")
-    def test_taylor_plan_invariants(self, x):
-        m, s = dynamics._taylor_plan(x)
-        assert s >= 1 and s * dynamics._TAYLOR_THETA[m] >= x
-        # the fewest sparse products of any degree whose substeps cover x
-        fewest = min(
-            degree * substeps
-            for degree, theta in dynamics._TAYLOR_THETA.items()
-            for substeps in range(1, 1200)
-            if substeps * theta >= x
-        )
-        assert m * s == fewest
-
-    @given(m=st.sampled_from([1, 8, 30, 55]), n=st.integers(1, 40),
-           density=st.floats(0.05, 1.0), fraction=st.floats(0.0, 1.0),
-           seed=st.integers(0, 2**32 - 1))
-    @example(m=55, n=40, density=1.0, fraction=1.0, seed=0).via("55! ~ 1e73 at theta_55")
-    def test_horner_sum_equals_the_taylor_sum(self, m, n, density, fraction, seed):
-        # one exponential of degree m of a generator B with ||B||_1 up to
-        # theta_m, the most a degree-m series is handed; the scales
-        # m!/(p-1)! must neither overflow nor cost accuracy
-        rng = np.random.default_rng(seed)
-        mask = rng.random((n, n)) < density
-        b = np.where(mask, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 0.0)
-        # no diagonal, so the mean-diagonal shift is 0 and the generator
-        # -i static over a unit step is B itself
-        np.fill_diagonal(b, 0.0)
-        if b.any():
-            b *= fraction * dynamics._TAYLOR_THETA[m] / np.abs(b).sum(axis=0).max()
-        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dynamics, "_taylor_plan", lambda x: (m, 1))
-            # B is not anti-Hermitian, so the norm is free to move
-            patch.setattr(dynamics, "_NORM_DRIFT_LIMIT", np.inf)
-            states = list(dynamics._taylor_states(sparse.csr_matrix(1j * b), None, psi,
-                                                  np.array([0.0, 1.0])))
-        term, total, size = psi.copy(), psi.copy(), np.linalg.norm(psi)
-        for p in range(1, m + 1):
-            term = b @ term / p
-            total += term
-            size += np.linalg.norm(term)
-        # relative to the sum of the terms' norms, which bounds the rounding
-        # of either sum
-        assert np.linalg.norm(states[1] - total) <= 1e-14 * size
-
-    @pytest.mark.parametrize("frequency", [None, 1.3], ids=["static", "driven"])
-    def test_product_count(self, monkeypatch, frequency):
-        # a static sample is one exponential; a driven one is two per CF4:2
-        # step, and at omega_d 1.3 a spacing of 0.5 takes two steps
-        model = chain_model(np.random.default_rng(7))
-        exponentials = 1
-        if frequency is not None:
-            model = zero_frequency_twin(model, frequency)
-            exponentials = 2 * 2
-        plans, products = [], []
-        plan, matvec = dynamics._taylor_plan, dynamics.csr_matvec
-        monkeypatch.setattr(dynamics, "_taylor_plan", lambda x: plans.append(plan(x)) or plans[-1])
-        monkeypatch.setattr(dynamics, "csr_matvec",
-                            lambda *args: products.append(1) or matvec(*args))
-        samples = propagate(model, 20.0, 0.5).times.size
-        ((m, s),) = plans
-        assert samples == 41
-        assert len(products) == (samples - 1) * exponentials * m * s
-
-    # at |dt| = 0.5 each sample is one expansion; at dt = 20 one sample
-    # spacing is past theta_55, so it takes substeps
+    # a sample spacing of 20 spans several periods of the model, which its
+    # eigendecomposition takes in one product
     @pytest.mark.parametrize("horizon, dt", [(40.0, 0.5), (-40.0, -0.5), (60.0, 20.0)],
                              ids=["forward", "backward", "substeps"])
     def test_matches_dense_eigh(self, horizon, dt):
         model = chain_model(np.random.default_rng(7))
         traj = propagate(model, horizon, dt)
-        if dt > 1.0:
-            # one sample spacing is past theta_55 = 9.9 in the 1-norm, so
-            # every sample takes several substeps
-            h = np.diag(model.h0_diag) + np.abs(model.w_static.toarray())
-            xi = np.arange(1, model.v_xi.size + 1)
-            h[xi, 0] = h[0, xi] = np.abs(model.v_xi)
-            shifted = h - np.mean(model.h0_diag) * np.eye(model.dimension)
-            assert np.abs(shifted).sum(axis=0).max() * dt > 9.9
         reference = eigh_states(model, traj.times, self.initial(model))
         assert np.abs(traj.states - reference).max() < 1e-12
 
@@ -417,84 +353,22 @@ class TestTaylorPropagator:
         reference = eigh_states(model, traj.times, self.initial(model))
         assert np.abs(traj.states - reference).max() < 1e-12
 
-    @given(n=st.integers(1, 50), density=st.floats(0.0, 1.0),
-           index_dtype=st.sampled_from([np.int32, np.int64]),
-           seed=st.integers(0, 2**32 - 1))
-    def test_matvec_matches_scipy_product_bit_for_bit(self, n, density, index_dtype, seed):
-        # every Taylor power calls scipy's private csr_matvec, which adds
-        # A x into its output; a release that changes that kernel must fail
-        # here rather than drift
-        rng = np.random.default_rng(seed)
-        mask = rng.random((n, n)) < density
-        mask[rng.integers(n)] = False
-        indptr = np.concatenate(([0], np.cumsum(mask.sum(axis=1))))
-        # each row's columns in random order: unsorted indices
-        indices = np.concatenate([rng.permutation(np.flatnonzero(row)) for row in mask])
-        data = rng.normal(size=indices.size) + 1j * rng.normal(size=indices.size)
-        mat = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
-        mat.indptr = mat.indptr.astype(index_dtype)
-        mat.indices = mat.indices.astype(index_dtype)
-        x = rng.normal(size=n) + 1j * rng.normal(size=n)
-        out = np.zeros(n, dtype=complex)
-        dynamics.csr_matvec(n, n, mat.indptr, mat.indices, mat.data, x, out)
-        assert out.tobytes() == (mat @ x).tobytes()
-        y = rng.normal(size=n) + 1j * rng.normal(size=n)
-        out = y.copy()
-        dynamics.csr_matvec(n, n, mat.indptr, mat.indices, mat.data, x, out)
-        scale = np.abs(y) + abs(mat) @ np.abs(x)
-        assert np.all(np.abs(out - (y + mat @ x)) <= 1e-13 * scale)
-
-    @given(n=st.integers(3, 30), drive=st.sampled_from(["overlap", "disjoint", "empty",
-                                                        "zeroed_diagonal"]),
-           c=st.floats(-1.0, 1.0), seed=st.integers(0, 2**32 - 1))
-    def test_fused_drive_data_matches_separate_products(self, n, drive, c, seed):
-        rng = np.random.default_rng(seed)
-
-        def links(offset):
-            return [(k, k + offset, rng.normal() + 1j * rng.normal()) for k in range(n - offset)]
-
-        # equal diagonal entries but two, set off symmetrically: the mean is
-        # exact, and the shift clears every other diagonal entry
-        diagonal = np.full(n, 0.25)
-        diagonal[0] += 0.125
-        diagonal[-1] -= 0.125
-        static = sparse.diags(diagonal.astype(complex), format="csr") + pair_coupling(n, links(1))
-        shift = float(static.diagonal().real.mean())
-        half = 0.5 * (-1j) * (static - shift * sparse.identity(n, format="csr"))
-        # the shift left no stored entry at (1, 1)
-        assert 1 not in half.indices[half.indptr[1]:half.indptr[2]]
-        amplitude = {
-            "overlap": pair_coupling(n, links(1)),
-            "disjoint": pair_coupling(n, links(2)),
-            "empty": sparse.csr_matrix((n, n), dtype=complex),
-            "zeroed_diagonal": sparse.csr_matrix(([rng.normal()], ([1], [1])), shape=(n, n)),
-        }[drive] * (-1j)
-        indptr, indices, h_data, x_data = dynamics._shared_pattern(half, amplitude)
-        v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        fused = sparse.csr_matrix((h_data + c * x_data, indices, indptr), shape=(n, n)) @ v
-        separate = (half @ v, c * (amplitude @ v))
-        scale = sum(np.linalg.norm(part) for part in separate)
-        assert np.linalg.norm(fused - sum(separate)) <= 1e-13 * scale
-
-    @pytest.mark.parametrize("frequency", [None, 1.3], ids=["static", "driven"])
-    def test_survival_amplitude_equals_full_trajectory(self, frequency):
-        model = chain_model(np.random.default_rng(7))
-        if frequency is not None:
-            model = zero_frequency_twin(model, frequency)
-        trace = survival_amplitude(model, 20.0, 0.005)
-        full = no_decay_amplitude(propagate(model, 20.0, 0.005), model.h0_diag[0])
-        assert np.array_equal(trace.times, full.times)
-        assert np.array_equal(trace.values, full.values)
-
-    @pytest.mark.parametrize("frequency", [None, 1.3], ids=["static", "driven"])
-    def test_survival_amplitude_keeps_no_state_matrix(self, frequency):
+    @pytest.mark.parametrize("horizon", [20.0, -20.0], ids=["static", "backward"])
+    def test_survival_amplitude_equals_full_trajectory(self, horizon):
+        # the memory-kernel F of a bare decay model lands on propagate's
+        # samples bit for bit, off the propagated F by the trapezoid's
+        # error at the default step, 3.9e-7
         density = FlatDensity(level=0.05 / (2 * np.pi), support=(-5.0, 5.0))
-        model = build_decay_model(density, 0.0, 2000)
-        if frequency is not None:
-            # the drive exchanges neighbouring modes
-            links = [(k, k + 1, 0.01) for k in range(1, model.dimension - 1, 2)]
-            drive = DriveTerm(pair_coupling(model.dimension, links), frequency)
-            model = replace(model, drive=drive)
+        model = build_decay_model(density, 0.3, 300)
+        trace = survival_amplitude(model, horizon)
+        full = no_decay_amplitude(propagate(model, horizon), model.h0_diag[0])
+        assert np.array_equal(trace.times, full.times)
+        assert np.abs(trace.values - full.values).max() <= 4e-7
+
+    @pytest.mark.parametrize("modes", [2000], ids=["static"])
+    def test_survival_amplitude_keeps_no_state_matrix(self, modes):
+        density = FlatDensity(level=0.05 / (2 * np.pi), support=(-5.0, 5.0))
+        model = build_decay_model(density, 0.0, modes)
         tracemalloc.start()
         try:
             trace = survival_amplitude(model, 8.0)
@@ -504,6 +378,30 @@ class TestTaylorPropagator:
         samples = trace.times.size
         assert samples > 1900
         assert peak < samples * model.dimension * 16 / 10
+
+    @pytest.mark.parametrize("part", ["W", "drive"], ids=["w_static", "driven"])
+    def test_survival_amplitude_refuses_w_and_drives(self, part):
+        model = chain_model(np.random.default_rng(7))
+        if part == "drive":
+            model = zero_frequency_twin(model, 1.3)
+        with pytest.raises(ValueError, match=f"has a {part}; survival_amplitude takes neither"):
+            survival_amplitude(model, 20.0)
+
+    def test_survival_amplitude_refuses_unequal_spacing_before_sizing(self):
+        # a grid of 10**9 steps would be refused by the cap, so the spacing
+        # is checked first
+        model = DiscretizedModel(h0_diag=np.array([0.0, -1.0, 0.0, 1.5]),
+                                 v_xi=np.full(3, 0.1, dtype=complex))
+        tracemalloc.start()
+        try:
+            with pytest.raises(NonUniformGridError, match="equally spaced"):
+                survival_amplitude(model, 1.0, 1e-9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        with pytest.raises(DimensionOverBudgetError, match="memory-kernel solve"):
+            survival_amplitude(replace(model, h0_diag=np.array([0.0, -1.0, 0.0, 1.0])), 1.0, 1e-9)
 
 
 class TestAmplitudeTrace:
@@ -637,7 +535,7 @@ class TestDissipationTrace:
 
     def test_vanishing_denominator(self, monkeypatch):
         # the check runs before anything is propagated
-        monkeypatch.setattr(dynamics, "_taylor_states", None)
+        monkeypatch.setattr(dynamics, "_evolved", None)
         model = DiscretizedModel(
             h0_diag=np.array([0.0, 0.0, np.pi]),
             v_xi=np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
