@@ -652,9 +652,9 @@ def _volterra_solve(h, kernel, slope=None):
         c = 1.0 + end * kernel[0]
         values[1:] = (1.0 - (0.5 * h) * k1[1:] + end * kernel[1:]) / c
         _lower_toeplitz_solve((h / c) * k1, values[1:])
-    if np.abs(values).max() > 1.0 + _UNITARITY_TOL:
-        raise StepTooLargeError("the amplitude exceeds 1 in modulus; the step is too coarse "
-                                "for the kernel")
+    if not np.abs(values).max() <= 1.0 + _UNITARITY_TOL:
+        raise StepTooLargeError("the amplitude exceeds 1 in modulus or is not finite; the "
+                                "step is too coarse for the kernel")
     return values
 
 
@@ -697,7 +697,7 @@ def _sector_rows(rabi, splitting, starts, h):
 
 
 # steps of a leaf of the separable solve's divide and conquer, at most
-_LEAF_STEPS = 64
+_LEAF_STEPS = 1024
 
 
 def _separable_solve(h, correlation, rows):
@@ -710,27 +710,25 @@ def _separable_solve(h, correlation, rows):
     The history sums y_r are split by divide and conquer (Hairer, Lubich and
     Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532): once the first
     half of a range is solved, one 2-row FFT product adds its share,
-    C * (conj(a_r) F), to the second half's sums.  A leaf of at most 64
+    C * (conj(a_r) F), to the second half's sums.  A leaf of at most 1024
     steps is then a lower-triangular system with the constant diagonal
-    1 + h^2 C(0)/4, solved by the Neumann series of its strictly lower part,
-    which ends once a term falls below rounding.  O(N log^2 N), with no BLAS
-    call.  A step too coarse for the kernel can lift |F| above 1, which
-    raises StepTooLargeError.
+    1 + h^2 C(0)/4, solved by the Neumann series of its strictly lower
+    part, one 2-row FFT product a term, to rounding; a leaf whose terms stop
+    shrinking is split, down to one step, which is exact.  O(N log^2 N), no
+    BLAS call.  A step too coarse for the kernel can lift |F| above 1 or
+    overflow it, which raises StepTooLargeError.
     """
     n = correlation.size
     c0 = correlation[0]
     diagonal = 1.0 + 0.25 * h * h * c0
-    lags = np.subtract.outer(np.arange(_LEAF_STEPS), np.arange(_LEAF_STEPS))
-    # C_{j-m} below the diagonal of a leaf, 0 on and above it
-    toeplitz = np.where(lags > 0, correlation[np.clip(lags, 0, n - 1)], 0.0)
-    lower = np.tril(np.ones((_LEAF_STEPS, _LEAF_STEPS)), -1)
+    lagged = np.concatenate(([0.0], correlation[1:]))  # C at lags over 0 only
     values = np.empty(n, dtype=complex)
     values[0] = 1.0
     # history[r, j] = sum_m C_{j-m} conj(a_r(m)) F_m over the solved m < j,
     # F_0 at the trapezoid's half weight
     weighted = np.conj(rows)
     history = (0.5 * weighted[:, :1]) * correlation
-    spectra = {}
+    spectra, leaf_spectra = {}, {}
     running = 1.0 + 0j  # 1 + h sum P_j over the solved steps
     # (p, q, mid): solve steps p..q-1, or with mid, add the history of the
     # solved p..mid-1 to mid..q-1; a loop, not a recursion, so no closure
@@ -738,39 +736,41 @@ def _separable_solve(h, correlation, rows):
     tasks = [(1, n, None)]
     while tasks:
         p, q, mid = tasks.pop()
+        size = q - p
         if mid is not None:
-            span = q - p
-            if span not in spectra:
-                spectra[span] = fft.fft(correlation[:span], fft.next_fast_len(span))
-            history[:, mid:q] += _fft_product(weighted[:, p:mid], spectra[span])[:, mid - p:span]
-        elif q - p > _LEAF_STEPS:
-            mid = (p + q) // 2
-            tasks += [(mid, q, None), (p, q, mid), (p, mid, None)]
-        else:
-            size = q - p
-            a = rows[:, p:q]
-            past = np.einsum("rj,rj->j", a, history[:, p:q], optimize=False)
-            local = toeplitz[:size, :size] * np.einsum("rj,rm->jm", a, weighted[:, p:q],
-                                                       optimize=False)
-            before = np.cumsum(local, axis=0)
-            before[1:] = before[:-1]
-            before[0] = 0.0
-            system = (h * h) * (0.5 * c0 * lower[:size, :size] + before + 0.5 * local)
+            if size not in spectra:
+                spectra[size] = fft.fft(correlation[:size], fft.next_fast_len(size))
+            history[:, mid:q] += _fft_product(weighted[:, p:mid], spectra[size])[:, mid - p:size]
+            continue
+        if size <= _LEAF_STEPS:
+            a, conj_a = rows[:, p:q], weighted[:, p:q]
+            if size not in leaf_spectra:
+                leaf_spectra[size] = fft.fft(lagged[:size], fft.next_fast_len(2 * size - 1))
+            past = (a * history[:, p:q]).sum(0)
             term = (running - (h * h) * (np.cumsum(past) - 0.5 * past)) / diagonal
             x = term.copy()
+            within = np.zeros(size, dtype=complex)  # the leaf's own sums, L x
             # rounding of the leading term, near that of the sum
             rounding = 2.0**-53 * np.abs(term).max()
-            while np.abs(term).max() > rounding:
-                term = np.einsum("jm,m->j", system, term, optimize=False) / -diagonal
+            last = np.inf
+            while rounding < (peak := np.abs(term).max()) < last:
+                last = peak
+                inner = (a * _fft_product(conj_a * term, leaf_spectra[size])[:, :size]).sum(0)
+                within += inner
+                term = (0.5 * c0 * (np.cumsum(term) - term) + np.cumsum(inner) - 0.5 * inner)
+                term *= -h * h / diagonal
                 x += term
-            values[p:q] = x
-            slope = (-h * (past + np.einsum("jm,m->j", local, x, optimize=False))
-                     - 0.5 * h * c0 * x)
-            running += h * slope.sum()
-            weighted[:, p:q] *= x
-    if np.abs(values).max() > 1.0 + _UNITARITY_TOL:
-        raise StepTooLargeError("the amplitude exceeds 1 in modulus; the step is too coarse "
-                                "for the kernel")
+            if not peak > rounding:
+                values[p:q] = x
+                running -= h * h * (past + within + 0.5 * c0 * x).sum()
+                conj_a *= x
+                continue
+        # a long range, or a leaf whose series stopped contracting
+        mid = (p + q) // 2
+        tasks += [(mid, q, None), (p, q, mid), (p, mid, None)]
+    if not np.abs(values).max() <= 1.0 + _UNITARITY_TOL:
+        raise StepTooLargeError("the amplitude exceeds 1 in modulus or is not finite; the "
+                                "step is too coarse for the kernel")
     return values
 
 

@@ -672,6 +672,18 @@ class TestMemoryKernelSolver:
         with pytest.raises(StepTooLargeError, match="too coarse"):
             memory_kernel_amplitude(np.array([0.0, 10.0, 20.0]), np.full(3, 0.25))
 
+    @pytest.mark.parametrize("solve", ["volterra", "separable"])
+    def test_overflow_to_nan_is_refused(self, solve):
+        # K = 1e305 overflows either solve to NaN, which |F| > 1 is False for
+        n = 4000
+        kernel = np.full(n, 1e305 + 0j)
+        rows = np.array([np.cos(0.65 * np.arange(n)), -1j * np.sin(0.65 * np.arange(n))])
+        with pytest.raises(StepTooLargeError, match="too coarse"), np.errstate(all="ignore"):
+            if solve == "volterra":
+                dynamics._volterra_solve(1.0, kernel)
+            else:
+                dynamics._separable_solve(1.0, kernel, rows)
+
     def test_rejects_bad_grids(self):
         with pytest.raises(NonUniformGridError):
             memory_kernel_amplitude(np.array([0.0, 1.0, 3.0]), np.ones(3))

@@ -839,7 +839,7 @@ class TestDrivenBySeparableKernel:
         scen = replace(self.COARSE, omega=1.0)
         errors = []
         for dt in (0.05, 0.025):
-            controls = DynamicControls(n_y=60, dt=dt)
+            controls = DynamicControls(n_y=30, dt=dt)
             trace, _ = scenario_amplitude(scen, 10.0, controls)
             full = propagated_f(build_dynamic(scen, controls), 10.0, dt)
             np.testing.assert_array_equal(trace.times, full.times)
@@ -861,19 +861,47 @@ class TestDrivenBySeparableKernel:
         assert flagged == (diag.step_error > 1e-4)
         assert flagged == (dt == 0.2)
 
-    def test_step_too_coarse_for_the_kernel_raises(self):
-        # three modes against rows turning at 0.65: at a step of 2.6 the
-        # solve lifts |F| above 1, at 1.3 it does not
-        results = []
-        for h, n in ((2.6, 40), (1.3, 80)):
-            t = h * np.arange(n)
-            kernel = np.exp(-1j * np.outer(t, [0.41, -2.0, -0.77])) @ [0.08, 0.37, 2.0]
-            rows = np.array([np.cos(0.65 * t), -1j * np.sin(0.65 * t)])
-            try:
-                results.append(np.abs(dynamics._separable_solve(h, kernel, rows)).max())
-            except StepTooLargeError:
-                results.append(None)
-        assert results[0] is None and results[1] <= 1.0 + 1e-9
+    @staticmethod
+    def forward_substitution(h, correlation, rows):
+        """F of _separable_solve's trapezoid system, one step at a time, in O(N^2)."""
+        values = np.empty(correlation.size, dtype=complex)
+        values[0] = 1.0
+        weighted = np.conj(rows)
+        running = 1.0 + 0j  # 1 + h sum P_j over the solved steps
+        for j in range(1, correlation.size):
+            history = weighted[:, :j] * values[:j] * correlation[j:0:-1]
+            history[:, 0] *= 0.5
+            past = rows[:, j] @ history.sum(axis=1)
+            own = 0.5 * correlation[0] * np.sum(np.abs(rows[:, j]) ** 2)
+            values[j] = (running - 0.5 * h * h * past) / (1.0 + 0.5 * h * h * own)
+            running -= h * h * (past + own * values[j])
+        return values
+
+    def test_benchmark_row_equals_forward_substitution(self, monkeypatch):
+        # the benchmark's faster drive: the solve at h spans two leaves and
+        # a merge, the re-solve at 2h one leaf
+        solves = []
+        solve = scenarios._separable_solve
+        monkeypatch.setattr(scenarios, "_separable_solve",
+                            lambda *args: solves.append(args) or solve(*args))
+        scen = RabiDriveScenario(m_y=self.CUBIC_Y, omega_f=1.0, omega=0.4, omega_21=5.0)
+        scenario_amplitude(scen, 150.0, replace(self.CRITERION_2, horizon=150.0))
+        assert solves[0][1].size - 1 > dynamics._LEAF_STEPS >= solves[1][1].size - 1
+        for h, correlation, rows in solves:
+            values = solve(h, correlation, rows)
+            expected = self.forward_substitution(h, correlation, rows)
+            assert np.abs(values - expected).max() <= 1e-13
+
+    @pytest.mark.parametrize("h, n", [(0.3, 400), (1.3, 80), (2.6, 40)])
+    def test_coarse_kernel_equals_forward_substitution(self, h, n):
+        # three modes against rows turning at 0.65, h^2 C(0) from 0.22 to
+        # 17: the Neumann series of a whole leaf grows before it shrinks, so
+        # the leaves split, down to single steps
+        t = h * np.arange(n)
+        kernel = np.exp(-1j * np.outer(t, [0.41, -2.0, -0.77])) @ [0.08, 0.37, 2.0]
+        rows = np.array([np.cos(0.65 * t), -1j * np.sin(0.65 * t)])
+        values = dynamics._separable_solve(h, kernel, rows)
+        assert np.abs(values - self.forward_substitution(h, kernel, rows)).max() <= 1e-13
 
     def test_full_driven_model_is_never_built(self, monkeypatch):
         def refuse(model):
