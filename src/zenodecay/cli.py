@@ -395,17 +395,25 @@ def _evaluate_row(config: ParsedConfig, value: float) -> dict:
 def run_sweep(config: ParsedConfig, jobs: int = 1) -> list[dict]:
     """One row per sweep value, assembled in sweep order.
 
-    With jobs > 1, up to jobs rows, and no more than the machine has cores,
-    are evaluated at once on a thread pool in the calling process; the rows
-    are the same as those of the serial sweep.  The threads overlap because
-    a row's FFTs and array passes release the GIL.  This holds only while
-    the rows share nothing they write: they read the frozen config and
-    scenarios, the densities' private grids, which ``np.interp`` only reads,
-    and scipy.fft's plan cache, which takes a lock; and no row uses
-    ``warnings.catch_warnings``, which swaps the process-wide filters.
+    With jobs > 1, up to jobs rows, and no more than the process may run on
+    cores (its CPU affinity, where the platform reports one), are evaluated
+    at once on a thread pool in the calling process; the rows are the same
+    as those of the serial sweep.  The threads overlap because a row's FFTs
+    and array passes release the GIL.  This holds only while the rows share
+    nothing they write: they read the frozen config and scenarios, the
+    densities' private grids, which ``np.interp`` only reads, and
+    scipy.fft's plan cache, which takes a lock; and no row uses
+    ``warnings.catch_warnings``, which swaps the process-wide filters.  The
+    first row to solve a memory kernel imports scipy.fft; a row that reaches
+    its first solve meanwhile waits on the import lock until that import is
+    done.
     """
     values = [float(v) for v in config.sweep_values]
-    workers = min(jobs, len(values), os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    workers = min(jobs, len(values), cores)
     if workers <= 1:
         return [_evaluate_row(config, v) for v in values]
     # the module's name, read at call time: an executor put in its place
@@ -538,7 +546,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_io(p_run)
     p_run.add_argument("--jobs", type=int, default=1,
                        help="rows evaluated at once, on threads of this process, "
-                            "at most one per core (default 1)")
+                            "at most one per core it may run on (default 1)")
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="check the config and exit")

@@ -44,7 +44,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import fft, sparse
 
 from .errors import (
     DimensionOverBudgetError,
@@ -122,6 +121,8 @@ class DriveTerm:
     frequency: float
 
     def __post_init__(self):
+        from scipy import sparse
+
         amp = sparse.csr_matrix(self.amplitude, dtype=complex)
         if not (np.isfinite(self.frequency) and self.frequency >= 0):
             raise ValueError("drive frequency must be finite and nonnegative")
@@ -168,6 +169,8 @@ class DiscretizedModel:
         object.__setattr__(self, "h0_diag", h0)
         object.__setattr__(self, "v_xi", v)
         if self.w_static is not None:
+            from scipy import sparse
+
             w = sparse.csr_matrix(self.w_static, dtype=complex)
             if w.shape != (n, n):
                 raise ValueError(f"w_static must be {n} x {n}")
@@ -584,6 +587,8 @@ def _sampled_dissipation(model, times) -> DissipationTrace:
 
 def _fft_product(a, spectrum):
     """ifft(fft(a) * spectrum), a zero-padded to the spectrum's length."""
+    from scipy import fft
+
     work = fft.fft(a, spectrum.size)
     work *= spectrum
     return fft.ifft(work, overwrite_x=True)
@@ -600,6 +605,8 @@ def _lower_toeplitz_solve(w, r):
     share of the second's sums is one more product.  O(N log N), with no
     BLAS call, so the bits do not depend on the BLAS build or its threads.
     """
+    from scipy import fft
+
     n = r.size
     h = (n + 1) // 2
     # u is padded to the transform length, so its transform can replace it
@@ -718,6 +725,8 @@ def _separable_solve(h, correlation, rows):
     BLAS call.  A step too coarse for the kernel can lift |F| above 1 or
     overflow it, which raises StepTooLargeError.
     """
+    from scipy import fft
+
     n = correlation.size
     c0 = correlation[0]
     diagonal = 1.0 + 0.25 * h * h * c0
@@ -821,6 +830,8 @@ def _chirp_sums(first, spacing, weights, step, n):
     reduced to whole turns exactly (_phases), so their rounding does not
     grow with l^2.
     """
+    from scipy import fft
+
     weights = np.asarray(weights, dtype=complex)
     m = weights.shape[-1]
     if m == 0:

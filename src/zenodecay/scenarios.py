@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
 
 from .dynamics import (
     _DRIVE_PHASE_STEP,
@@ -329,6 +328,8 @@ def _sector(scenario, n_z: int):
     omega_21.  A cascade's is the mode and its Z chain of n_z states, with
     -lambda_i on the mode when set; a bare zero width has no chain.
     """
+    from scipy import sparse
+
     if isinstance(scenario, RabiDriveScenario):
         pair = sparse.csr_matrix([[0.0, scenario.omega], [scenario.omega, 0.0]])
         return np.array([0.0, scenario.omega_21]), None, (pair, scenario.omega_21)
@@ -355,6 +356,8 @@ def _star_model(scenario, y_modes, sector) -> DiscretizedModel:
     1 + a n_y + k, so the decay modes are states 1..n_y.  The model's
     stored entries are capped before any copy is laid out.
     """
+    from scipy import sparse
+
     omega, v, dy = y_modes
     offsets, w, drive = sector
     n = 1 + omega.size * offsets.size

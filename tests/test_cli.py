@@ -751,13 +751,53 @@ class TestRunSweep:
                 super().__init__(max_workers, *args, **kwargs)
 
         monkeypatch.setattr(cli, "ThreadPoolExecutor", Recorder)
-        cores = os.cpu_count() or 1
+        if hasattr(os, "sched_getaffinity"):
+            cores = len(os.sched_getaffinity(0))
+        else:
+            cores = os.cpu_count() or 1
         values = list(np.linspace(0.1, 0.5, cores + 2))
         config = parse_config(rabi_config(sweep={"path": "rabi.omega", "values": values}))
         columns = sweep_columns(config.routes)
+        serial = render_rows(run_sweep(config, jobs=1), columns, "csv")
         pooled = render_rows(run_sweep(config, jobs=64), columns, "csv")
         assert sizes == ([cores] if cores > 1 else [])
-        assert pooled == render_rows(run_sweep(config, jobs=1), columns, "csv")
+        assert pooled == serial
+        # a process pinned to one core, as under taskset -c 0, runs its
+        # rows serially however many cores the machine has
+        sizes.clear()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert render_rows(run_sweep(config, jobs=64), columns, "csv") == serial
+        assert sizes == []
+
+    def test_first_solve_on_two_threads_matches_serial(self):
+        # two driven rows whose memory-kernel solves, the first in a fresh
+        # interpreter, start together: both threads reach the scipy.fft
+        # import, and one waits on the import lock for the other; the
+        # affinity is widened so the pool is built on a one-core machine too
+        script = (
+            "import json, os, sys\n"
+            "from zenodecay.cli import parse_config, render_rows, run_sweep, sweep_columns\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "config = parse_config(json.loads(sys.argv[2]))\n"
+            "assert 'scipy.fft' not in sys.modules\n"
+            "rows = run_sweep(config, jobs=int(sys.argv[1]))\n"
+            "assert 'scipy.fft' in sys.modules\n"
+            "sys.stdout.write(render_rows(rows, sweep_columns(config.routes), 'csv'))\n"
+        )
+        cfg = json.dumps(rabi_config(
+            scenario={"kind": "rabi", "m_y": dict(FLAT_Y), "omega_f": 0.0, "omega": 0.2,
+                      "omega_21": 4.0},
+            sweep={"path": "rabi.omega", "values": [0.1, 0.2]},
+            routes="dynamic",
+            dynamic={"n_y": 100, "horizon": 30.0},
+        ))
+        serial, pooled = (
+            subprocess.run([sys.executable, "-c", script, jobs, cfg],
+                           capture_output=True, text=True, check=True).stdout
+            for jobs in ("1", "2")
+        )
+        assert serial.count(",ok,") == 2
+        assert pooled == serial
 
     def test_coarse_cascade_step_is_flagged_and_row_stays_ok(self):
         cfg = rabi_config(
@@ -1073,12 +1113,23 @@ class TestMain:
         assert all(float(row[3]) <= 1.0 + 1e-9 for row in data)
 
 
+# the CI sweep of Lorentzian widths, on the rate integral alone
+WIDTHS = {"schema_version": 1,
+          "scenario": {"kind": "unstable", "omega_f": 0.0, "lambda_r": 1.0,
+                       "m_y": {"kind": "flat", "level": 0.00795774715459477,
+                               "support": [-5.0, 5.0]}},
+          "sweep": {"path": "unstable.lambda_r", "start": 1e-4, "stop": 1e4, "count": 33,
+                    "spacing": "log"}}
+
+
 class TestModuleEntryPoint:
     # the rate integral has its own quadrature, so no command pays for
     # importing QUADPACK; the dense references run on numpy.linalg, since
-    # scipy.linalg or scipy.sparse.linalg would add about 0.26 s to the
-    # import
-    @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg", "scipy.sparse.linalg"])
+    # scipy.linalg or scipy.sparse.linalg would add 0.18-0.31 s to an
+    # import of 0.16-0.20 s; and scipy.fft and scipy.sparse are imported by
+    # the functions that call them, so the import loads no scipy module
+    @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg", "scipy.sparse.linalg",
+                                        "scipy"])
     def test_import_leaves_out_scipy_integrate(self, module):
         proc = subprocess.run(
             [sys.executable, "-c",
@@ -1086,6 +1137,41 @@ class TestModuleEntryPoint:
             capture_output=True, text=True, check=True,
         )
         assert proc.stdout.strip() == "False"
+
+    def test_analytic_commands_run_without_scipy(self, tmp_path):
+        # with every scipy import made to fail, the analytic commands give
+        # the bytes of a normal process
+        blocked = ("import runpy, sys; sys.modules['scipy'] = None; "
+                   "runpy.run_module('zenodecay', run_name='__main__')")
+        widths = write_config(tmp_path, WIDTHS, "widths.json")
+        rates = write_config(tmp_path, rabi_config(
+            scenario={"kind": "scattering", "m_y": dict(FLAT_Y), "omega_f": 0.05, "rate": 1.0},
+            sweep={"path": "scattering.rate", "start": 0.01, "stop": 1e4, "count": 13,
+                   "spacing": "log"},
+        ), "rates.json")
+        for command in (["validate", widths], ["kernel", rates, "--range=-50:50:2001"],
+                        ["run", widths]):
+            normal, scipy_free = (
+                subprocess.run([sys.executable, *start, *command], capture_output=True)
+                for start in (["-m", "zenodecay"], ["-c", blocked])
+            )
+            assert scipy_free.returncode == normal.returncode == 0, scipy_free.stderr
+            assert scipy_free.stdout == normal.stdout
+        assert normal.stdout.count(b",ok,") == 33
+
+    def test_cascade_amplitude_loads_the_fft_and_no_sparse_matrix(self, tmp_path):
+        scenario = {"kind": "unstable", "m_y": dict(FLAT_Y), "omega_f": 0.0, "lambda_r": 0.3}
+        cfg = write_config(tmp_path, rabi_config(scenario=scenario, sweep=None,
+                                                 dynamic={"n_y": 100, "n_z": 50}))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from zenodecay.cli import main; "
+             f"code = main(['trace', {cfg!r}, '--quantity', 'F', '--horizon', '5', "
+             f"'--out', {str(tmp_path / 'F.csv')!r}]); "
+             "print(code, 'scipy.fft' in sys.modules, 'scipy.sparse' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.split() == ["0", "True", "False"]
 
     def test_python_dash_m_invocation(self, tmp_path):
         cfg = write_config(tmp_path, rabi_config())
