@@ -398,15 +398,12 @@ def run_sweep(config: ParsedConfig, jobs: int = 1) -> list[dict]:
     With jobs > 1, up to jobs rows, and no more than the process may run on
     cores (its CPU affinity, where the platform reports one), are evaluated
     at once on a thread pool in the calling process; the rows are the same
-    as those of the serial sweep.  The threads overlap because a row's FFTs
-    and array passes release the GIL.  This holds only while the rows share
-    nothing they write: they read the frozen config and scenarios, the
-    densities' private grids, which ``np.interp`` only reads, and
-    scipy.fft's plan cache, which takes a lock; and no row uses
-    ``warnings.catch_warnings``, which swaps the process-wide filters.  The
-    first row to solve a memory kernel imports scipy.fft; a row that reaches
-    its first solve meanwhile waits on the import lock until that import is
-    done.
+    as those of the serial sweep.  The threads overlap because a row's
+    numpy.fft transforms and array passes release the GIL.  This holds only
+    while the rows share nothing they write: they read the frozen config
+    and scenarios and the densities' private grids, which ``np.interp`` only
+    reads; and no row uses ``warnings.catch_warnings``, which swaps the
+    process-wide filters.
     """
     values = [float(v) for v in config.sweep_values]
     if hasattr(os, "sched_getaffinity"):

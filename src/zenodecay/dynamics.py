@@ -40,6 +40,7 @@ alone: the golden-rule reference.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -86,7 +87,7 @@ _UNITARITY_TOL = 1e-9
 # the memory-kernel route's modes, solve steps, chirp-z sums and
 # sector-row scans (four points a step).  A memory-kernel solve peaks at
 # about 160 bytes a step, a driven one at about 400 (tracemalloc, numpy
-# 2.4, scipy 1.17), so either route peaks near 0.7 GB at the cap; a dense
+# 2.4), so either route peaks near 0.7 GB at the cap; a dense
 # reference holds a few matrices of 64 MB there
 _MAX_ARRAY_POINTS = 4_000_000
 # points (samples x states) of a block of a static reference's samples
@@ -585,13 +586,41 @@ def _sampled_dissipation(model, times) -> DissipationTrace:
     )
 
 
+@functools.lru_cache(maxsize=1024)
+def _fast_len(n):
+    """The smallest 2^a 3^b 5^c 7^d 11^e >= n: scipy.fft.next_fast_len(n)'s length.
+
+    Each odd part p = 3^b 5^c 7^d 11^e below the best length so far is
+    doubled up to n, to p << ((n - 1) // p).bit_length(), and the least of
+    these wins.  The solves ask for the same few lengths again and again,
+    so the search is cached.
+    """
+    best = 1 << (n - 1).bit_length()
+    p11 = 1
+    while p11 < best:
+        p7 = p11
+        while p7 < best:
+            p5 = p7
+            while p5 < best:
+                p = p5
+                while p < n:
+                    x = p << ((n - 1) // p).bit_length()
+                    if x < best:
+                        best = x
+                    p *= 3
+                if p < best:
+                    best = p
+                p5 *= 5
+            p7 *= 7
+        p11 *= 11
+    return best
+
+
 def _fft_product(a, spectrum):
     """ifft(fft(a) * spectrum), a zero-padded to the spectrum's length."""
-    from scipy import fft
-
-    work = fft.fft(a, spectrum.size)
+    work = np.fft.fft(a, spectrum.size)
     work *= spectrum
-    return fft.ifft(work, overwrite_x=True)
+    return np.fft.ifft(work, out=work)
 
 
 def _lower_toeplitz_solve(w, r):
@@ -605,24 +634,22 @@ def _lower_toeplitz_solve(w, r):
     share of the second's sums is one more product.  O(N log N), with no
     BLAS call, so the bits do not depend on the BLAS build or its threads.
     """
-    from scipy import fft
-
     n = r.size
     h = (n + 1) // 2
     # u is padded to the transform length, so its transform can replace it
-    u = np.zeros(fft.next_fast_len(n), dtype=complex)
+    u = np.zeros(_fast_len(n), dtype=complex)
     u[0] = 1.0
     k = 1
     # m runs over ceil(h / 2^s) down to s = 0, so each step at most doubles k
     for shift in range((h - 1).bit_length() - 1, -1, -1):
         m = -(-h >> shift)
-        spectrum = fft.fft(u[:k], fft.next_fast_len(m))
+        spectrum = np.fft.fft(u[:k], _fast_len(m))
         u[k:m] = -_fft_product(_fft_product(w[:m], spectrum)[k:m], spectrum)[: m - k]
         k = m
-    spectrum = fft.fft(u, overwrite_x=True)
+    spectrum = np.fft.fft(u, out=u)
     r[:h] = _fft_product(r[:h], spectrum)[:h]
     # the wrap of this product lands below h
-    r[h:] -= _fft_product(r[:h], fft.fft(w[:n], spectrum.size))[h:n]
+    r[h:] -= _fft_product(r[:h], np.fft.fft(w[:n], spectrum.size))[h:n]
     r[h:] = _fft_product(r[h:], spectrum)[: n - h]
 
 
@@ -640,7 +667,7 @@ def _volterra_solve(h, kernel, slope=None):
     Toeplitz system either way.  A step too coarse for the kernel can lift
     |G| above 1, which raises StepTooLargeError.  The peak memory, k1, h k1,
     G and the solver's three transforms at 16 bytes a point each, is under
-    100 bytes a step (next_fast_len(N - 1) <= 1.04 N for N >= 200).
+    100 bytes a step (_fast_len(N - 1) <= 1.04 N for N >= 200).
     """
     n = kernel.size
     k1 = np.zeros(n, dtype=complex)
@@ -725,8 +752,6 @@ def _separable_solve(h, correlation, rows):
     BLAS call.  A step too coarse for the kernel can lift |F| above 1 or
     overflow it, which raises StepTooLargeError.
     """
-    from scipy import fft
-
     n = correlation.size
     c0 = correlation[0]
     diagonal = 1.0 + 0.25 * h * h * c0
@@ -748,13 +773,13 @@ def _separable_solve(h, correlation, rows):
         size = q - p
         if mid is not None:
             if size not in spectra:
-                spectra[size] = fft.fft(correlation[:size], fft.next_fast_len(size))
+                spectra[size] = np.fft.fft(correlation[:size], _fast_len(size))
             history[:, mid:q] += _fft_product(weighted[:, p:mid], spectra[size])[:, mid - p:size]
             continue
         if size <= _LEAF_STEPS:
             a, conj_a = rows[:, p:q], weighted[:, p:q]
             if size not in leaf_spectra:
-                leaf_spectra[size] = fft.fft(lagged[:size], fft.next_fast_len(2 * size - 1))
+                leaf_spectra[size] = np.fft.fft(lagged[:size], _fast_len(2 * size - 1))
             past = (a * history[:, p:q]).sum(0)
             term = (running - (h * h) * (np.cumsum(past) - 0.5 * past)) / diagonal
             x = term.copy()
@@ -830,16 +855,14 @@ def _chirp_sums(first, spacing, weights, step, n):
     reduced to whole turns exactly (_phases), so their rounding does not
     grow with l^2.
     """
-    from scipy import fft
-
     weights = np.asarray(weights, dtype=complex)
     m = weights.shape[-1]
     if m == 0:
         return np.zeros(weights.shape[:-1] + (n,), dtype=complex)
     lags = np.arange(1 - m, n, dtype=float)
     chirp = _phases(spacing * step / (4.0 * np.pi), lags * lags)
-    size = fft.next_fast_len(n + m - 1)
-    spectrum = fft.fft(weights * np.conj(chirp[m - 1 :: -1]), size) * fft.fft(chirp, size)
-    sums = fft.ifft(spectrum)[..., m - 1 : m - 1 + n]
+    size = _fast_len(n + m - 1)
+    spectrum = np.fft.fft(weights * np.conj(chirp[m - 1 :: -1]), size) * np.fft.fft(chirp, size)
+    sums = np.fft.ifft(spectrum)[..., m - 1 : m - 1 + n]
     free = _phases(first * step / (2.0 * np.pi), np.arange(n, dtype=float))
     return sums * np.conj(chirp[m - 1 :] * free)

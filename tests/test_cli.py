@@ -769,19 +769,18 @@ class TestRunSweep:
         assert render_rows(run_sweep(config, jobs=64), columns, "csv") == serial
         assert sizes == []
 
-    def test_first_solve_on_two_threads_matches_serial(self):
+    def test_pooled_solves_match_serial_and_load_no_scipy(self):
         # two driven rows whose memory-kernel solves, the first in a fresh
-        # interpreter, start together: both threads reach the scipy.fft
-        # import, and one waits on the import lock for the other; the
-        # affinity is widened so the pool is built on a one-core machine too
+        # interpreter, start together on numpy.fft, which needs no scipy
+        # module; the affinity is widened so the pool is built on a
+        # one-core machine too
         script = (
             "import json, os, sys\n"
             "from zenodecay.cli import parse_config, render_rows, run_sweep, sweep_columns\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "config = parse_config(json.loads(sys.argv[2]))\n"
-            "assert 'scipy.fft' not in sys.modules\n"
             "rows = run_sweep(config, jobs=int(sys.argv[1]))\n"
-            "assert 'scipy.fft' in sys.modules\n"
+            "assert 'scipy' not in sys.modules\n"
             "sys.stdout.write(render_rows(rows, sweep_columns(config.routes), 'csv'))\n"
         )
         cfg = json.dumps(rabi_config(
@@ -1126,8 +1125,9 @@ class TestModuleEntryPoint:
     # the rate integral has its own quadrature, so no command pays for
     # importing QUADPACK; the dense references run on numpy.linalg, since
     # scipy.linalg or scipy.sparse.linalg would add 0.18-0.31 s to an
-    # import of 0.16-0.20 s; and scipy.fft and scipy.sparse are imported by
-    # the functions that call them, so the import loads no scipy module
+    # import of 0.16-0.20 s; the memory-kernel solves run on numpy.fft, and
+    # scipy.sparse is imported by model building alone, so neither the
+    # import nor a decay constant loads a scipy module
     @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg", "scipy.sparse.linalg",
                                         "scipy"])
     def test_import_leaves_out_scipy_integrate(self, module):
@@ -1138,28 +1138,58 @@ class TestModuleEntryPoint:
         )
         assert proc.stdout.strip() == "False"
 
-    def test_analytic_commands_run_without_scipy(self, tmp_path):
-        # with every scipy import made to fail, the analytic commands give
-        # the bytes of a normal process
+    @staticmethod
+    def normal_output_without_scipy(command):
+        """stdout of python -m zenodecay, asserted equal where every scipy import fails."""
         blocked = ("import runpy, sys; sys.modules['scipy'] = None; "
                    "runpy.run_module('zenodecay', run_name='__main__')")
+        normal, scipy_free = (
+            subprocess.run([sys.executable, *start, *command], capture_output=True)
+            for start in (["-m", "zenodecay"], ["-c", blocked])
+        )
+        assert scipy_free.returncode == normal.returncode == 0, scipy_free.stderr
+        assert scipy_free.stdout == normal.stdout
+        return normal.stdout
+
+    def test_analytic_commands_run_without_scipy(self, tmp_path):
         widths = write_config(tmp_path, WIDTHS, "widths.json")
         rates = write_config(tmp_path, rabi_config(
             scenario={"kind": "scattering", "m_y": dict(FLAT_Y), "omega_f": 0.05, "rate": 1.0},
             sweep={"path": "scattering.rate", "start": 0.01, "stop": 1e4, "count": 13,
                    "spacing": "log"},
         ), "rates.json")
-        for command in (["validate", widths], ["kernel", rates, "--range=-50:50:2001"],
-                        ["run", widths]):
-            normal, scipy_free = (
-                subprocess.run([sys.executable, *start, *command], capture_output=True)
-                for start in (["-m", "zenodecay"], ["-c", blocked])
-            )
-            assert scipy_free.returncode == normal.returncode == 0, scipy_free.stderr
-            assert scipy_free.stdout == normal.stdout
-        assert normal.stdout.count(b",ok,") == 33
+        for command in (["validate", widths], ["kernel", rates, "--range=-50:50:2001"]):
+            self.normal_output_without_scipy(command)
+        assert self.normal_output_without_scipy(["run", widths]).count(b",ok,") == 33
 
-    def test_cascade_amplitude_loads_the_fft_and_no_sparse_matrix(self, tmp_path):
+    def test_memory_kernel_commands_run_without_scipy(self, tmp_path):
+        # every memory-kernel solve runs on numpy.fft, so the dynamic rows
+        # and the cascade traces need no scipy module either
+        driven = write_config(tmp_path, rabi_config(
+            scenario={"kind": "rabi", "m_y": dict(FLAT_Y), "omega_f": 0.0, "omega": 0.2,
+                      "omega_21": 4.0},
+            sweep={"path": "rabi.omega", "values": [0.1, 0.2]},
+            routes="both",
+            dynamic={"n_y": 100, "horizon": 30.0},
+        ), "driven.json")
+        cascade = {"kind": "unstable", "m_y": dict(FLAT_Y), "omega_f": 0.05,
+                   "z_resonance": 0.0, "m_z": {"kind": "flat", "level": 0.0954929658551372,
+                                               "support": [-12.0, 12.0]}}
+        sweep = write_config(tmp_path, rabi_config(
+            scenario=cascade, sweep={"path": "omega_f", "values": [0.05, 0.1]},
+            routes="both", dynamic={"n_y": 100, "n_z": 300},
+        ), "cascade-sweep.json")
+        trace = write_config(tmp_path, rabi_config(
+            scenario=cascade, sweep=None, dynamic={"n_y": 100, "n_z": 300},
+        ), "cascade.json")
+        for command in (["run", driven, "--jobs", "1"], ["run", driven, "--jobs", "2"],
+                        ["run", sweep]):
+            assert self.normal_output_without_scipy(command).count(b",ok,") == 2
+        for quantity in ("F", "D"):
+            self.normal_output_without_scipy(
+                ["trace", trace, "--quantity", quantity, "--horizon", "10"])
+
+    def test_cascade_amplitude_loads_no_scipy(self, tmp_path):
         scenario = {"kind": "unstable", "m_y": dict(FLAT_Y), "omega_f": 0.0, "lambda_r": 0.3}
         cfg = write_config(tmp_path, rabi_config(scenario=scenario, sweep=None,
                                                  dynamic={"n_y": 100, "n_z": 50}))
@@ -1168,10 +1198,10 @@ class TestModuleEntryPoint:
              "import sys; from zenodecay.cli import main; "
              f"code = main(['trace', {cfg!r}, '--quantity', 'F', '--horizon', '5', "
              f"'--out', {str(tmp_path / 'F.csv')!r}]); "
-             "print(code, 'scipy.fft' in sys.modules, 'scipy.sparse' in sys.modules)"],
+             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
             capture_output=True, text=True, check=True,
         )
-        assert proc.stdout.split() == ["0", "True", "False"]
+        assert proc.stdout.split() == ["0", "[]"]
 
     def test_python_dash_m_invocation(self, tmp_path):
         cfg = write_config(tmp_path, rabi_config())

@@ -3,7 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import linalg, sparse
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy import fft, linalg, sparse
 from scipy.integrate import solve_ivp
 
 from zenodecay import dynamics
@@ -705,6 +707,18 @@ class TestMemoryKernelSolver:
         assert errors[-1] < 1e-9
         for coarse, fine in zip(errors, errors[1:]):
             assert 12.0 < coarse / fine < 20.0
+
+
+class TestFastLen:
+    # the solves' transforms run on numpy.fft at scipy.fft's lengths, so
+    # their bits are those of a scipy.fft solve
+    def test_matches_scipy_up_to_two_to_the_sixteen(self):
+        n = range(1, 2**16 + 1)
+        assert [dynamics._fast_len(k) for k in n] == [fft.next_fast_len(k) for k in n]
+
+    @given(n=st.integers(1, 2 * dynamics._MAX_ARRAY_POINTS))
+    def test_matches_scipy_up_to_twice_the_cap(self, n):
+        assert dynamics._fast_len(n) == fft.next_fast_len(n)
 
 
 class TestChirpSums:
