@@ -360,10 +360,9 @@ def _evaluate_row(config: ParsedConfig, value: float) -> dict:
         gamma0 = None
         ratio = None
         if routes in ("analytic", "both"):
-            kernel = build_analytic(scenario)
-            result = analytic_gamma(scenario, kernel)
+            result = analytic_gamma(scenario)
             row["gamma_analytic"] = result.gamma
-            row["normalization_defect"] = kernel.normalization_defect()
+            row["normalization_defect"] = build_analytic(scenario).normalization_defect()
             gamma0, ratio = result.gamma0, result.ratio
             flags.extend(result.warnings)
         if routes in ("dynamic", "both"):

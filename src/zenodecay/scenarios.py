@@ -65,7 +65,7 @@ from .dynamics import (
 # unused here, since no scenario is propagated; perfbench/test_gate.py
 # still checks that scenarios.propagate is patched
 from .dynamics import propagate  # noqa: F401
-from .errors import IllConditionedFitError, NonUniformGridError, StepTooLargeError
+from .errors import IllConditionedFitError, StepTooLargeError
 from .rates import DecayRateResult, perturbed_gamma
 from .spectral import (
     DiracKernel,
@@ -75,7 +75,6 @@ from .spectral import (
     FlatDensity,
     LorentzianKernel,
     SpectralDensity,
-    kernel_from_dissipation,
 )
 
 __all__ = [
@@ -186,8 +185,8 @@ class ScatteringScenario:
     """Final level dephased by elastic scattering.
 
     Either give the coherence-loss rate directly (the dissipation function
-    is then exp(-rate * tau) and the kernel is produced numerically through
-    the trace transform), or give the scatterer continuum m_z with its
+    is then exp(-rate * tau), whose kernel is exactly the Lorentzian of
+    half-width rate), or give the scatterer continuum m_z with its
     resonance energy, which yields the width pi * m_z(z_resonance) in
     closed form.
     """
@@ -225,19 +224,8 @@ class DynamicControls:
 
 
 def _synthesize_exponential(rate: float, dt: float, steps: int, label: str) -> DissipationTrace:
-    """Sampled exp(-rate * tau) at steps + 1 points of spacing dt from tau = 0.
-
-    Raises NonUniformGridError before allocating a grid whose last time has
-    an ulp above DissipationTrace's 1e-9 uniformity tolerance of the
-    spacing: past about 4.5e6 samples dt * arange cannot be relied on to
-    stay uniform.
-    """
-    if np.spacing(dt * steps) > 1e-9 * dt:
-        raise NonUniformGridError(
-            f"{steps + 1} samples at spacing {dt:.3g} cannot stay uniform to 1e-9 "
-            "in double precision; shorten the horizon"
-        )
-    times = dt * np.arange(steps + 1)
+    """Sampled exp(-rate * tau) at steps + 1 points of spacing dt from tau = 0, capped first."""
+    times = dt * np.arange(_capped(steps + 1, "dissipation trace"))
     return DissipationTrace(times=times, values=np.exp(-rate * times), label=label)
 
 
@@ -245,24 +233,16 @@ def build_analytic(scenario) -> DissipationKernel:
     """Broadening kernel equivalent to the scenario's dissipation."""
     if isinstance(scenario, RabiDriveScenario):
         return DoubleDeltaKernel(scenario.omega)
-    if isinstance(scenario, UnstableLevelScenario):
+    if isinstance(scenario, (UnstableLevelScenario, ScatteringScenario)):
+        shift = getattr(scenario, "lambda_i", 0.0)
         if scenario.width == 0.0:
-            if scenario.lambda_i != 0.0:
+            if shift != 0.0:
                 raise ValueError(
                     "zero width with a nonzero shift has no kernel; fold the "
                     "shift into omega_f instead"
                 )
             return DiracKernel()
-        return LorentzianKernel(width=scenario.width, shift=scenario.lambda_i)
-    if isinstance(scenario, ScatteringScenario):
-        if scenario.width == 0.0:
-            return DiracKernel()
-        if scenario.rate is not None:
-            # the grid the transform was tuned for
-            trace = _synthesize_exponential(scenario.rate, 0.005 / scenario.rate, 8000,
-                                            scenario.label)
-            return kernel_from_dissipation(trace)
-        return LorentzianKernel(width=scenario.width)
+        return LorentzianKernel(width=scenario.width, shift=shift)
     raise TypeError(f"unknown scenario type {type(scenario).__name__}")
 
 
@@ -281,15 +261,9 @@ def _scenario_warnings(scenario) -> tuple[str, ...]:
     return tuple(flags)
 
 
-def analytic_gamma(scenario, kernel: DissipationKernel | None = None) -> DecayRateResult:
-    """Decay constant by the rate integral with the scenario's kernel.
-
-    kernel, when given, must be ``build_analytic(scenario)``; passing it
-    saves building it again.
-    """
-    if kernel is None:
-        kernel = build_analytic(scenario)
-    result = perturbed_gamma(scenario.m_y, kernel, scenario.omega_f)
+def analytic_gamma(scenario) -> DecayRateResult:
+    """Decay constant by the rate integral with the scenario's kernel."""
+    result = perturbed_gamma(scenario.m_y, build_analytic(scenario), scenario.omega_f)
     flags = _scenario_warnings(scenario)
     if flags:
         result = replace(result, warnings=result.warnings + flags)
@@ -478,8 +452,8 @@ def _driven_amplitude(scenario, horizon: float, controls: DynamicControls):
     0 of u(t, 0), F' = -a int C conj(a) F - b int C conj(b) F exactly, C the
     cascade's chirp-z sum over the Y band.  F is solved on every CF4:2 step
     propagation would take (_separable_solve), the rows from those steps
-    (_sector_rows), and again at twice the step, the rows from their own
-    steps.  Every array is capped first.
+    (_sector_rows), and again at twice the step on every other one of the
+    same rows.  Every array is capped first.
     """
     omega, v, dy = discretize_continuum(scenario.m_y, _capped(controls.n_y, "Y band"))
     ends = omega[[0, -1]]
@@ -503,9 +477,8 @@ def _driven_amplitude(scenario, horizon: float, controls: DynamicControls):
     thin = max(1, sub // 2)
     check_times, f_h = _uniform_grid(horizon, n)[:: 2 * thin], fine[:: 2 * thin]
     f_2h, error = None, math.inf
-    rows = _sector_rows(scenario.omega, scenario.omega_21, starts[: n - n % 2 : 2], 2.0 * h)
     with contextlib.suppress(StepTooLargeError):
-        f_2h = _separable_solve(2.0 * h, correlation[::2], rows)[::thin]
+        f_2h = _separable_solve(2.0 * h, correlation[::2], rows[:, ::2])[::thin]
         error = float(np.abs(f_h - f_2h).max()) / 3.0
     return replace(trace, warnings=_step_flags(error)), (check_times, f_h, f_2h)
 
@@ -559,8 +532,9 @@ def scenario_amplitude(scenario, horizon: float, controls: DynamicControls | Non
     keep.  The step check is (times, F at step h, F at step 2h) on about as
     many times as the samples, the last None when the doubled step lifts
     |F| above 1; when sup |F_h - F_2h| / 3 exceeds 1e-4 the trace carries a
-    step_error warning.  A driven model's F at 2h takes its rows from CF4:2
-    steps of 2h.  The check is None on a grid of under 3 steps.  The
+    step_error warning.  A driven model's F at 2h takes every other one of
+    the rows F at h is solved on, so the check sees only the trapezoid's
+    error.  The check is None on a grid of under 3 steps.  The
     horizon must be finite and positive.
     """
     if not (np.isfinite(horizon) and horizon > 0):

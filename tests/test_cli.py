@@ -724,10 +724,10 @@ class TestRunSweep:
         analytic = cli.analytic_gamma
         seen = []
 
-        def tagged(scenario, kernel):
+        def tagged(scenario):
             seen.append(scenario.omega)
             time.sleep(0.02 * (len(values) - values.index(scenario.omega)))
-            result = analytic(scenario, kernel)
+            result = analytic(scenario)
             return dataclasses.replace(result, warnings=(f"row {scenario.omega!r}",))
 
         monkeypatch.setattr(cli, "analytic_gamma", tagged)
@@ -818,25 +818,44 @@ class TestRunSweep:
         assert row["status"] == "dimension_over_budget"
         assert row["warnings"].startswith("time grid needs ")
 
-    def test_rate_row_builds_one_kernel(self, monkeypatch):
+    def test_rate_row_runs_no_transform(self, monkeypatch):
         import zenodecay.scenarios as scenarios
+        import zenodecay.spectral as spectral
 
-        calls = []
-        transform = scenarios.kernel_from_dissipation
+        def refused(trace):
+            raise AssertionError("a rate row ran the trace transform")
 
-        def counting(trace):
-            calls.append(trace)
-            return transform(trace)
-
-        monkeypatch.setattr(scenarios, "kernel_from_dissipation", counting)
+        monkeypatch.setattr(spectral, "kernel_from_dissipation", refused)
+        monkeypatch.setattr(scenarios, "kernel_from_dissipation", refused, raising=False)
         cfg = rabi_config(
             scenario={"kind": "scattering", "m_y": dict(FLAT_Y), "omega_f": 0.0,
                       "rate": 1.0},
             sweep={"path": "scattering.rate", "values": [1.0]},
         )
-        rows = run_sweep(parse_config(cfg))
-        assert rows[0]["status"] == "ok"
-        assert len(calls) == 1
+        (row,) = run_sweep(parse_config(cfg))
+        assert row["status"] == "ok"
+        assert row["normalization_defect"] == 0.0
+
+    @pytest.mark.parametrize("m_y, omega_f", [
+        (FLAT_Y, 0.05),
+        (CUBIC_Y, 1.0),
+        ({"kind": "tabulated", "omega": [0.0, 0.25, 0.5, 0.8, 1.0, 1.3, 1.7, 2.0, 2.6, 3.0],
+          "values": [0.0, 0.02, 0.05, 0.04, 0.06, 0.03, 0.05, 0.02, 0.01, 0.0]}, 1.0),
+    ], ids=["flat", "cubic", "tabulated"])
+    def test_rate_sweep_prints_the_width_sweeps_bytes(self, m_y, omega_f):
+        # a rate's kernel is the Lorentzian of that half-width, down to 1e-12
+        values = [1e-12, 1e-4, 0.01, 1.0, 100.0, 1e4]
+        outputs = []
+        for kind, path in (("scattering", "scattering.rate"), ("unstable", "unstable.lambda_r")):
+            config = parse_config(rabi_config(
+                scenario={"kind": kind, "m_y": dict(m_y), "omega_f": omega_f,
+                          path.split(".")[1]: 1.0},
+                sweep={"path": path, "values": values}))
+            rows = run_sweep(config)
+            assert [row["status"] for row in rows] == ["ok"] * len(values)
+            text = render_rows(rows, sweep_columns(config.routes), "csv")
+            outputs.append([line.split(",", 1)[1] for line in text.splitlines()])
+        assert outputs[0] == outputs[1]
 
 
 class TestMain:

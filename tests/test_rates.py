@@ -13,18 +13,25 @@ from zenodecay.rates import (
     rabi_gamma,
     unstable_level_gamma,
 )
-from zenodecay.scenarios import ScatteringScenario, build_analytic
 from zenodecay.spectral import (
     DiracKernel,
+    DissipationTrace,
     FlatDensity,
     LorentzianKernel,
     NumericKernel,
     PowerLawDensity,
     SpectralDensity,
     TabulatedDensity,
+    kernel_from_dissipation,
 )
 
 SQRT_DENSITY = PowerLawDensity(amplitude=1.0, exponent=0.5, support=(0.0, 3.0))
+
+
+def sampled_rate_kernel(rate):
+    """The numeric kernel of exp(-rate tau) sampled at 8001 points of spacing 0.005 / rate."""
+    times = (0.005 / rate) * np.arange(8001)
+    return kernel_from_dissipation(DissipationTrace(times=times, values=np.exp(-rate * times)))
 
 
 def flat_lorentzian_oracle(level, support, width, center):
@@ -187,7 +194,7 @@ class TestNumericKernelQuadrature:
     @pytest.mark.parametrize("rate", [316.0, 1e4])
     def test_square_root_density_matches_panel_integrals(self, rate):
         omega_f = 1.0
-        kernel = build_analytic(ScatteringScenario(m_y=SQRT_DENSITY, omega_f=omega_f, rate=rate))
+        kernel = sampled_rate_kernel(rate)
         result = perturbed_gamma(SQRT_DENSITY, kernel, omega_f)
         # sqrt(omega) times the kernel's linear interpolant, panel by panel
         # between the kernel nodes, in closed form
@@ -269,7 +276,7 @@ class TestTabulatedDensityQuadrature:
 
     def test_sampled_kernel_matches_panel_integrals(self):
         omega_f = 1.3
-        kernel = build_analytic(ScatteringScenario(m_y=self.TABLE, omega_f=omega_f, rate=1.0))
+        kernel = sampled_rate_kernel(1.0)
         result = perturbed_gamma(self.TABLE, kernel, omega_f)
         # the table times the kernel's interpolant is quadratic between the
         # merged knots and nodes, where Simpson's rule is exact

@@ -15,7 +15,7 @@ from zenodecay.dynamics import (
     no_decay_amplitude,
     propagate,
 )
-from zenodecay.errors import DimensionOverBudgetError, NonUniformGridError, StepTooLargeError
+from zenodecay.errors import DimensionOverBudgetError, StepTooLargeError
 from zenodecay.scenarios import (
     LEVEL_OFF_SUPPORT,
     STEP_ERROR_WARNING,
@@ -38,7 +38,6 @@ from zenodecay.spectral import (
     DoubleDeltaKernel,
     FlatDensity,
     LorentzianKernel,
-    NumericKernel,
     PowerLawDensity,
 )
 
@@ -137,11 +136,10 @@ class TestBuildAnalytic:
         with pytest.raises(ValueError, match="fold the shift"):
             build_analytic(scen)
 
-    def test_scattering_rate_form_goes_numeric(self):
+    def test_scattering_rate_form_is_its_lorentzian(self):
+        # D = exp(-rate tau) transforms exactly to the Lorentzian of half-width rate
         scen = ScatteringScenario(m_y=FLAT_Y, omega_f=0.0, rate=0.3)
-        kernel = build_analytic(scen)
-        assert isinstance(kernel, NumericKernel)
-        assert kernel.normalization_defect() < 1e-3
+        assert build_analytic(scen) == LorentzianKernel(0.3)
 
     def test_scattering_secondary_density_stays_closed_form(self):
         mz = FlatDensity(level=0.3 / np.pi, support=(-6.0, 6.0))
@@ -176,10 +174,8 @@ class TestAnalyticGamma:
 
     def test_rate_form_matches_closed_form(self):
         closed = UnstableLevelScenario(m_y=FLAT_Y, omega_f=0.0, lambda_r=0.3)
-        numeric = ScatteringScenario(m_y=FLAT_Y, omega_f=0.0, rate=0.3)
-        ga = analytic_gamma(closed).gamma
-        gb = analytic_gamma(numeric).gamma
-        assert gb == pytest.approx(ga, rel=1e-4)
+        rate = ScatteringScenario(m_y=FLAT_Y, omega_f=0.0, rate=0.3)
+        assert analytic_gamma(rate).gamma == analytic_gamma(closed).gamma
 
     def test_off_support_level_flagged(self):
         scen = UnstableLevelScenario(m_y=FLAT_Y, omega_f=8.0, lambda_r=0.5)
@@ -332,16 +328,27 @@ class TestScenarioTrace:
         assert trace.horizon >= 12.0
 
     def test_rate_form_refuses_overlong_grid_before_allocating(self):
-        # 1.46e7 samples: dt * arange drifts past the 1e-9 uniformity test
+        # 1.46e7 samples, over the one allocation cap
         scen = ScatteringScenario(m_y=FLAT_Y, omega_f=0.0, rate=1e4)
         tracemalloc.start()
         try:
-            with pytest.raises(NonUniformGridError):
+            with pytest.raises(DimensionOverBudgetError,
+                               match="^dissipation trace needs 14600001 points"):
                 scenario_trace(scen, 7.3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20
+
+    def test_rate_form_trace_is_capped(self, monkeypatch):
+        # rate 1 to horizon 10: 2000 steps of 0.005, 2001 samples
+        scen = ScatteringScenario(m_y=FLAT_Y, omega_f=0.0, rate=1.0)
+        monkeypatch.setattr(dynamics, "_MAX_ARRAY_POINTS", 2000)
+        with pytest.raises(DimensionOverBudgetError,
+                           match="^dissipation trace needs 2001 points, at most 2000$"):
+            scenario_trace(scen, 10.0)
+        monkeypatch.setattr(dynamics, "_MAX_ARRAY_POINTS", 2001)
+        assert scenario_trace(scen, 10.0).times.size == 2001
 
     def test_horizon_must_be_positive(self):
         scen = ScatteringScenario(m_y=FLAT_Y, omega_f=0.0, rate=0.25)
@@ -847,19 +854,34 @@ class TestDrivenBySeparableKernel:
         assert errors[0] <= 1e-4
         assert 3.5 < errors[0] / errors[1] < 4.5
 
-    @pytest.mark.parametrize("dt", [0.1, 0.2])
-    def test_step_error_estimates_the_true_error(self, dt):
-        # the reference solves at a step 10 times finer: both grids have
-        # under 4000 steps, so every step is a sample and one CF4:2 step
-        result, diag = dynamic_gamma(self.COARSE, DynamicControls(n_y=120, dt=dt))
-        reference, fine = dynamic_gamma(self.COARSE, DynamicControls(n_y=120, dt=dt / 10.0))
+    @pytest.mark.parametrize("scen, controls", [
+        (COARSE, DynamicControls(n_y=120, dt=0.1)),
+        (COARSE, DynamicControls(n_y=120, dt=0.2)),
+        # criterion 9's rows, where CF4:2 rows of a 2h step would add more
+        # error than the trapezoid's (11 times the true error at 0.4)
+        (RabiDriveScenario(m_y=CUBIC_Y, omega_f=1.0, omega=0.1, omega_21=5.0), CRITERION_2),
+        (RabiDriveScenario(m_y=CUBIC_Y, omega_f=1.0, omega=0.2, omega_21=5.0), CRITERION_2),
+        (RabiDriveScenario(m_y=CUBIC_Y, omega_f=1.0, omega=0.4, omega_21=5.0), CRITERION_2),
+    ], ids=["0.1", "0.2", "criterion_9-0.1", "criterion_9-0.2", "criterion_9-0.4"])
+    def test_step_error_estimates_the_true_error(self, scen, controls, monkeypatch):
+        # the reference is the same solve on the same samples with 16 times
+        # the CF4:2 steps, so its rows and its trapezoid are both far finer
+        result, diag = dynamic_gamma(scen, controls)
+        drive_steps = scenarios._drive_steps
+
+        def finer(scenario, times):
+            sub, h = drive_steps(scenario, times)
+            return 16 * sub, h / 16.0
+
+        monkeypatch.setattr(scenarios, "_drive_steps", finer)
+        reference, fine = dynamic_gamma(scen, controls)
         assert fine.window == diag.window
         true_error = abs(result.gamma / reference.gamma - 1.0)
         assert 0.5 * true_error <= diag.step_error <= 2.0 * true_error
         assert fine.step_error < 0.02 * true_error
         flagged = f"{STEP_ERROR_WARNING}={diag.step_error:.3g}" in result.warnings
         assert flagged == (diag.step_error > 1e-4)
-        assert flagged == (dt == 0.2)
+        assert flagged == (controls.dt == 0.2)
 
     @staticmethod
     def forward_substitution(h, correlation, rows):
