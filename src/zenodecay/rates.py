@@ -40,8 +40,15 @@ _REL_TOL = 1e-10
 _ACCEPT_REL = 1e-8
 _MAX_BISECTIONS = 400
 
-# 8-point Gauss-Legendre nodes and weights on [-1, 1]
-_X, _W = np.polynomial.legendre.leggauss(8)
+# 8-point Gauss-Legendre nodes and weights on [-1, 1], those of
+# np.polynomial.legendre.leggauss(8) bit for bit, written out so that no
+# import loads numpy.polynomial
+_X = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+               -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+               0.7966664774136267, 0.9602898564975362])
+_W = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+               0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+               0.22238103445337443, 0.10122853629037706])
 
 
 @dataclass(frozen=True)

@@ -1146,9 +1146,10 @@ class TestModuleEntryPoint:
     # scipy.linalg or scipy.sparse.linalg would add 0.18-0.31 s to an
     # import of 0.16-0.20 s; the memory-kernel solves run on numpy.fft, and
     # scipy.sparse is imported by model building alone, so neither the
-    # import nor a decay constant loads a scipy module
+    # import nor a decay constant loads a scipy module; the quadrature's
+    # Gauss-Legendre rule is written out, since numpy.polynomial costs 0.75 MB
     @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg", "scipy.sparse.linalg",
-                                        "scipy"])
+                                        "scipy", "numpy.polynomial"])
     def test_import_leaves_out_scipy_integrate(self, module):
         proc = subprocess.run(
             [sys.executable, "-c",

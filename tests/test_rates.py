@@ -4,6 +4,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import integrate
 
+from zenodecay import rates
 from zenodecay.errors import DomainError, QuadratureError
 from zenodecay.rates import (
     NEGATIVE_RATE_CLAMPED,
@@ -40,6 +41,13 @@ def flat_lorentzian_oracle(level, support, width, center):
     return 2.0 * level * (
         np.arctan((hi - center) / width) - np.arctan((lo - center) / width)
     )
+
+
+class TestQuadratureRule:
+    def test_nodes_and_weights_are_leggauss(self):
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        assert np.array_equal(rates._X, nodes)
+        assert np.array_equal(rates._W, weights)
 
 
 class TestGoldenRule:

@@ -26,6 +26,41 @@ def exponential_trace(lam, horizon, dt, shift=0.0):
     return DissipationTrace(times=t, values=np.exp(-(lam - 1j * shift) * t))
 
 
+def decaying_trace(n, real=False):
+    """D on n samples of spacing 0.014, a decaying oscillation with a random
+    modulation; its real part only when real is set."""
+    t = 0.014 * np.arange(n)
+    values = np.exp(-(0.05 - 0.7j) * t / 0.56) * (0.6 + 0.4 * np.random.default_rng(7).random(n))
+    values[0] = 1.0
+    return DissipationTrace(times=t, values=values.real if real else values)
+
+
+def full_grid_transform(trace):
+    """kernel_from_dissipation built on the whole grid k = -k_max..k_max,
+    each node gathered from the FFT period by |k| mod m_fft."""
+    n, h = trace.times.size, trace.spacing
+    t_eff = h * (n - 1)
+    g = trace.values.copy()
+    tail = trace.times > 0.9 * t_eff
+    s = (trace.times[tail] - 0.9 * t_eff) / (0.1 * t_eff)
+    g[tail] *= 0.5 * (1.0 + np.cos(np.pi * s))
+    d_eps = np.pi / t_eff
+    k_max = int(np.ceil(8.0 * np.pi / h / d_eps))
+    k = np.arange(-k_max, k_max + 1)
+    m_fft = 2 * (n - 1)
+    wrapped = np.abs(k) % m_fft
+    f_pos = np.fft.fft(g, m_fft).real
+    f_neg = np.fft.fft(np.conj(g), m_fft).real
+    node_sum = np.concatenate((f_neg[wrapped[:k_max]], f_pos[wrapped[k_max:]]))
+    half_theta = k * (np.pi / m_fft)
+    half_theta[k_max] = 1.0
+    weights = np.sin(np.arange(m_fft) * (np.pi / m_fft)) ** 2
+    weights = weights[wrapped] / (half_theta * half_theta)
+    weights[k_max] = 1.0
+    values = h / np.pi * weights * (node_sum - g[0].real / 2.0)
+    return NumericKernel(eps=k * d_eps, values=values, window=t_eff)
+
+
 class TestDensities:
     def test_flat_values_and_support(self):
         dens = FlatDensity(level=0.25, support=(-2.0, 3.0))
@@ -158,6 +193,28 @@ class TestNumericKernel:
             NumericKernel(eps=np.array([0.0, 1.0, 3.0]),
                           values=np.zeros(3), window=5.0)
 
+    @pytest.mark.parametrize("eps", [
+        [0.0, 1.0, 1.0 + 1.000000002], [1.0, 0.0, -1.0], [0.0, 0.0, 0.0],
+        [0.0, np.nan, 2.0], [0.0, 1.0, np.nan], [np.nan, 1.0, 2.0], [0.0, 1.0, np.inf]])
+    def test_refuses_the_grids_allclose_refused(self, eps):
+        eps = np.array(eps)
+        steps = np.diff(eps)
+        assert steps[0] <= 0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0)
+        with pytest.raises(NonUniformGridError):
+            NumericKernel(eps=eps, values=np.zeros(3), window=5.0)
+
+    def test_construction_peak_bytes_per_node(self):
+        # two private copies and the uniformity and mass sums' temporaries;
+        # 56 bytes a node when the fields were copies beside the private ones
+        eps, values = np.linspace(-50.0, 50.0, 36_577), np.ones(36_577)
+        tracemalloc.start()
+        try:
+            NumericKernel(eps=eps, values=values, window=10.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * eps.size
+
 
 class TestDissipationTrace:
     def test_basic_validation(self):
@@ -284,6 +341,31 @@ class TestKernelFromDissipation:
             direct = h * (cells @ g[:-1] * a + cells @ g[1:] * b).real / np.pi
             scale = np.abs(direct).max()
             np.testing.assert_allclose(got, direct, rtol=0.0, atol=tol * scale)
+
+    @pytest.mark.parametrize("n, real", [(2287, False), (2287, True), (64, False), (65, False)])
+    def test_half_grid_matches_full_grid_bit_for_bit(self, n, real):
+        trace = decaying_trace(n, real)
+        kernel, reference = kernel_from_dissipation(trace), full_grid_transform(trace)
+        assert kernel.eps.size == 16 * (n - 1) + 1
+        assert np.array_equal(kernel.eps, reference.eps)
+        assert np.array_equal(kernel.values, reference.values)
+        assert kernel.defect == reference.defect and kernel.window == reference.window
+        if real:
+            assert np.array_equal(kernel.values, kernel.values[::-1])
+
+    def test_transform_peak_bytes_per_node(self):
+        # the half grid's weights and node sums, the two output grids and the
+        # kernel's construction; 117 bytes a node on the full grid
+        trace = decaying_trace(2287)
+        kernel_from_dissipation(trace)
+        tracemalloc.start()
+        try:
+            kernel = kernel_from_dissipation(trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kernel.eps.size == 36_577
+        assert peak < 80 * kernel.eps.size
 
     def test_short_trace_rejected(self):
         t = np.linspace(0.0, 1.0, 32)
