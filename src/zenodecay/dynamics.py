@@ -29,13 +29,15 @@ sector is a chain, again with no propagation.  Both solves
 chirp-z transforms (_chirp_sums), are O(N log N) by FFT, with no BLAS
 call.  A driven 2x2 sector gives the separable K(t, s) = C(t - s)
 (a(t) conj(a(s)) + b(t) conj(b(s))), (a, b) the row 0 of the sector's
-propagator: _sector_rows composes it from the sector's closed-form CF4:2
-steps by a prefix scan, and _separable_solve solves for F by divide and
-conquer in O(N log^2 N), again with no BLAS call.  So no production path
-propagates: propagate and dissipation_trace are the dense references that
-both routes' solves are tested against.  survival_amplitude solves a bare
-decay model, one with no W and no drive, by its memory kernel C(tau)
-alone: the golden-rule reference.
+propagator: each closed-form CF4:2 step is a phase times an SU(2) matrix,
+whose row 0 is all of it, so _sector_rows composes those pairs by a prefix
+scan and puts the common phase on once; _separable_solve solves for F by
+divide and conquer in O(N log^2 N), again with no BLAS call.  So no
+production path propagates: propagate and dissipation_trace are the dense
+references that both routes' solves are tested against.  fit_decay takes
+its line from centred sums, so no decay constant calls numpy.linalg.
+survival_amplitude solves a bare decay model, one with no W and no drive,
+by its memory kernel C(tau) alone: the golden-rule reference.
 """
 
 from __future__ import annotations
@@ -86,8 +88,9 @@ _UNITARITY_TOL = 1e-9
 # states), propagate's samples x states, D's samples x coupled modes, and
 # the memory-kernel route's modes, solve steps, chirp-z sums and
 # sector-row scans (four points a step).  A memory-kernel solve peaks at
-# about 160 bytes a step, a driven one at about 400 (tracemalloc, numpy
-# 2.4), so either route peaks near 0.7 GB at the cap; a dense
+# about 160 bytes a step, a driven F at about 290 and a driven D, two
+# clocks a step, at about 460 (tracemalloc, numpy 2.4), so either route
+# peaks near 0.7 GB at the cap; a dense
 # reference holds a few matrices of 64 MB there
 _MAX_ARRAY_POINTS = 4_000_000
 # points (samples x states) of a block of a static reference's samples
@@ -473,9 +476,11 @@ def fit_decay(
     """Complex least-squares line through ln F(t) on the window.
 
     The slope gives the amplitude constant gamma_complex; the probability
-    decay constant is gamma = 2 Re(gamma_complex).  The window must end
-    before half the recurrence time when one is supplied, and the fit is
-    rejected when the residual RMS exceeds 0.1.
+    decay constant is gamma = 2 Re(gamma_complex).  The slope is
+    sum(tc y) / sum(tc^2), tc and y the times and ln F less their means,
+    summed by numpy's pairwise reductions with no BLAS call.  The window
+    must end before half the recurrence time when one is supplied, and the
+    fit is rejected when the residual RMS exceeds 0.1.
     """
     t_a, t_b = float(window[0]), float(window[1])
     if not t_a < t_b:
@@ -496,14 +501,15 @@ def fit_decay(
     if magnitude.min() < 1e-6:
         raise ValueError("|F| falls below 1e-6 inside the window")
     log_f = np.log(magnitude) + 1j * np.unwrap(np.angle(f))
-    design = np.column_stack([np.ones_like(t), t])
-    coeffs, *_ = np.linalg.lstsq(design, log_f, rcond=None)
-    residual_rms = float(np.sqrt(np.mean(np.abs(design @ coeffs - log_f) ** 2)))
+    centred_t = t - t.mean()
+    centred_f = log_f - log_f.mean()
+    slope = (centred_t * centred_f).sum() / (centred_t * centred_t).sum()
+    residual_rms = float(np.sqrt(np.mean(np.abs(centred_f - slope * centred_t) ** 2)))
     if residual_rms > 0.1:
         raise IllConditionedFitError(
             f"log-linear fit residual RMS {residual_rms:.3g} exceeds 0.1"
         )
-    gamma_complex = complex(-coeffs[1])
+    gamma_complex = complex(-slope)
     result = _make_result(2.0 * gamma_complex.real, gamma0, "dynamic_fit")
     diagnostics = FitDiagnostics(
         gamma_complex=gamma_complex,
@@ -693,40 +699,46 @@ def _volterra_solve(h, kernel, slope=None):
 
 
 def _compose(later, earlier):
-    """later @ earlier for stacks of 2x2 matrices on the last axis, by components."""
-    return later[:, :1] * earlier[:1] + later[:, 1:] * earlier[1:]
+    """later @ earlier for SU(2) matrices [[a, b], [-conj(b), conj(a)]], each the pair (a, b)."""
+    (a1, b1), (a2, b2) = later, earlier
+    return a1 * a2 - b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)
 
 
 def _sector_rows(rabi, splitting, starts, h):
-    """(a, b): row 0 of u(t0 + j h, t0), j = 0 .. len(starts), of the driven 2x2 sector.
+    """(a, b): row 0 of u(t0 + j h, t0), j = 0 .. N, of the driven 2x2 sector.
 
     The sector is [[0, rabi cos(w t)], [rabi cos(w t), w]], w = splitting,
-    advanced by the CF4:2 steps of propagate from the times starts (t0 is
-    starts[0]).  Each step is the product of the two exponentials of
-    A = H_s/2 + c X in closed form: exp(-i h A) = exp(-i h w/4) (cos th -
-    i h sin(th)/th (c rabi sigma_x - (w/4) sigma_z)), th = h |(c rabi, w/4)|.
-    The steps are composed by a Hillis-Steele prefix scan, log2 N passes of
-    2x2 products taken by components, with no BLAS call.
+    advanced by the CF4:2 steps of propagate from the N times on the last
+    axis of starts (t0 is the first); a stack of such grids gives a stack
+    of rows, shape starts.shape[:-1] + (2, N + 1).  Each step is the
+    product of the two exponentials of A = H_s/2 + c X in closed form,
+    exp(-i h A) = exp(-i h w/4) [[alpha, beta], [-conj(beta), conj(alpha)]]
+    with alpha = cos th + i (w/4) h sin(th)/th, beta = -i c rabi h
+    sin(th)/th and th = h |(c rabi, w/4)|.  Row 0 of an SU(2) product is
+    its pair (alpha, beta), so a Hillis-Steele prefix scan, log2 N passes,
+    composes the pairs, four complex products each, and the common phase
+    exp(-2i h (w/4) j) is put on once at the end (_phases), with no BLAS
+    call.
     """
     quarter = 0.25 * splitting
     c1, c2 = (np.cos(splitting * (starts + node * h)) for node in _CF4_NODES)
-    steps = []
+    halves = []
     for a, b in (_CF4_WEIGHTS, _CF4_WEIGHTS[::-1]):
         x = (a * c1 + b * c2) * rabi
         norm = np.hypot(x, quarter)
-        cos, sin = np.cos(h * norm), np.sin(h * norm) / norm
-        off = -1j * x * sin
-        exp = np.array([[cos + 1j * quarter * sin, off], [off, cos - 1j * quarter * sin]])
-        exp *= np.exp(-1j * h * quarter)
-        steps.append(exp)
-    scan = _compose(*steps[::-1])
+        sin = np.sin(h * norm) / norm
+        halves.append((np.cos(h * norm) + 1j * quarter * sin, -1j * x * sin))
+    n = starts.shape[-1]
+    rows = np.empty(starts.shape[:-1] + (2, n + 1), dtype=complex)
+    rows[..., 0] = (1.0, 0.0)
+    alpha, beta = rows[..., 0, 1:], rows[..., 1, 1:]
+    alpha[...], beta[...] = _compose(*halves[::-1])
     shift = 1
-    while shift < starts.size:
-        scan[..., shift:] = _compose(scan[..., shift:], scan[..., :-shift])
+    while shift < n:
+        alpha[..., shift:], beta[..., shift:] = _compose(
+            (alpha[..., shift:], beta[..., shift:]), (alpha[..., :-shift], beta[..., :-shift]))
         shift *= 2
-    rows = np.empty((2, starts.size + 1), dtype=complex)
-    rows[:, 0] = (1.0, 0.0)
-    rows[:, 1:] = scan[0]
+    rows[..., 1:] *= _phases(-h * quarter / np.pi, np.arange(1, n + 1, dtype=float))
     return rows
 
 

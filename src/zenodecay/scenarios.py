@@ -489,17 +489,17 @@ def _driven_dissipation(scenario, horizon: float, dt) -> DissipationTrace:
     The grid is dissipation_trace's of the trace model, and its CF4:2 steps
     propagation's.  D is also taken with the drive's clock shifted by a
     quarter period, and the spread between the two (micromotion) is flagged
-    above 0.01.  The scan is capped before it is allocated.
+    above 0.01.  Both clocks are one stacked scan, capped before it is
+    allocated.
     """
     times = _time_grid(horizon, dt, _energy_scale(
         np.array([scenario.omega_f, scenario.omega_f + scenario.omega_21]),
         np.array([scenario.omega, scenario.omega_21])))
     sub, h = _drive_steps(scenario, times)
     _capped(4 * (times.size - 1) * sub, "sector-row scan")
-    values, shifted = (
-        _sector_rows(scenario.omega, scenario.omega_21, _drive_starts(times, sub, h, offset),
-                     h)[0, ::sub]
-        for offset in (0.0, _quarter_period(scenario.omega_21)))
+    starts = np.stack([_drive_starts(times, sub, h, offset)
+                       for offset in (0.0, _quarter_period(scenario.omega_21))])
+    values, shifted = _sector_rows(scenario.omega, scenario.omega_21, starts, h)[:, 0, ::sub]
     return DissipationTrace(times=times, values=values, label=scenario.label,
                             warnings=_micromotion_flags(values, shifted))
 

@@ -31,7 +31,14 @@ from zenodecay.errors import (
     VanishingDenominatorError,
     WindowBeyondRecurrenceError,
 )
-from zenodecay.spectral import FlatDensity
+from zenodecay.scenarios import (
+    DynamicControls,
+    RabiDriveScenario,
+    UnstableLevelScenario,
+    dynamic_gamma,
+    scenario_amplitude,
+)
+from zenodecay.spectral import FlatDensity, PowerLawDensity
 
 
 def pair_coupling(n, links, strength=0.2):
@@ -480,6 +487,85 @@ class TestFitDecay:
         trace = AmplitudeTrace(times=t, values=values)
         with pytest.raises(IllConditionedFitError):
             fit_decay(trace, (2.0, 18.0))
+
+    @staticmethod
+    def lstsq_fit(trace, window):
+        """(gamma_complex, residual_rms) of the two-column least-squares line through ln F."""
+        mask = (trace.times >= window[0]) & (trace.times <= window[1])
+        t, f = trace.times[mask], trace.values[mask]
+        log_f = np.log(np.abs(f)) + 1j * np.unwrap(np.angle(f))
+        design = np.column_stack([np.ones_like(t), t])
+        coeffs, *_ = np.linalg.lstsq(design, log_f, rcond=None)
+        residual = np.sqrt(np.mean(np.abs(design @ coeffs - log_f) ** 2))
+        return complex(-coeffs[1]), float(residual)
+
+    def assert_matches_lstsq(self, trace, window):
+        gamma_complex, residual_rms = self.lstsq_fit(trace, window)
+        _, diag = fit_decay(trace, window)
+        assert abs(diag.gamma_complex - gamma_complex) <= 1e-13 * abs(gamma_complex)
+        assert abs(diag.residual_rms - residual_rms) <= 1e-13 * residual_rms
+        return diag
+
+    @pytest.mark.parametrize("gamma_complex, ripple, frequency, horizon, n, window", [
+        (0.05 + 0.3j, 0.02, 1.7, 20.0, 2001, (2.0, 15.0)),
+        (0.0016 + 0.021j, 0.01, 0.4, 300.0, 2042, (126.0, 299.0)),
+        (0.3 - 4.0j, 0.05, 9.0, 12.0, 901, (0.5, 11.9)),  # phase wraps 7 times
+        (1e-5 + 0.0j, 1e-4, 0.05, 1000.0, 4001, (400.0, 999.0)),  # slow, far from t = 0
+    ], ids=["criterion_1_scale", "criterion_9_scale", "wrapping_phase", "slow_late_window"])
+    def test_matches_lstsq_on_synthetic_traces(self, gamma_complex, ripple, frequency, horizon,
+                                               n, window):
+        # a decay with a ripple, so the residual is far above rounding
+        t = np.linspace(0.0, horizon, n)
+        values = np.exp(-gamma_complex * t) * (1.0 + ripple * (np.exp(1j * frequency * t) - 1.0))
+        diag = self.assert_matches_lstsq(AmplitudeTrace(times=t, values=values), window)
+        assert diag.residual_rms > 1e3 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("amplitude", [0.09, 0.11])
+    def test_residual_over_a_tenth_is_rejected(self, amplitude):
+        # a phase wobble of rms amplitude, which no line absorbs: the
+        # reference puts the residual on amplitude's side of 0.1
+        t = np.linspace(0.0, 40.0, 4001)
+        trace = AmplitudeTrace(times=t, values=np.exp(-0.05 * t + 1j * amplitude * np.sqrt(2.0)
+                                                      * np.sin(3.0 * t)))
+        _, residual_rms = self.lstsq_fit(trace, (2.0, 38.0))
+        assert abs(residual_rms - amplitude) < 0.005
+        if amplitude < 0.1:
+            assert fit_decay(trace, (2.0, 38.0))[1].residual_rms == pytest.approx(residual_rms)
+        else:
+            with pytest.raises(IllConditionedFitError, match="exceeds 0.1"):
+                fit_decay(trace, (2.0, 38.0))
+
+    # criterion 9's 0.4 row, and the benchmark's cascade row (seed 0) on
+    # its default window
+    DYNAMIC_ROWS = {
+        "criterion_9": (
+            RabiDriveScenario(m_y=PowerLawDensity(amplitude=5e-4, exponent=3.0,
+                                                  support=(0.0, 2.0)),
+                              omega_f=1.0, omega=0.4, omega_21=5.0),
+            DynamicControls(n_y=400, dt=0.0035, horizon=300.0, fit_window=(126.0, 299.0))),
+        "benchmark_cascade": (
+            UnstableLevelScenario(m_y=FlatDensity(level=0.05 / (2.0 * np.pi), support=(-5.0, 5.0)),
+                                  omega_f=0.0, z_resonance=0.0,
+                                  m_z=FlatDensity(level=0.3 / np.pi, support=(-12.0, 12.0))),
+            DynamicControls(n_y=120, n_z=80, dt=0.002, horizon=31.0)),
+    }
+
+    def test_matches_lstsq_on_criterion_9(self):
+        scen, controls = self.DYNAMIC_ROWS["criterion_9"]
+        trace, _ = scenario_amplitude(scen, controls.horizon, controls)
+        self.assert_matches_lstsq(trace, controls.fit_window)
+
+    @pytest.mark.parametrize("row", sorted(DYNAMIC_ROWS))
+    def test_dynamic_gamma_calls_no_dense_linear_algebra(self, row, monkeypatch):
+        scen, controls = self.DYNAMIC_ROWS[row]
+        expected = dynamic_gamma(scen, controls)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a decay constant called dense linear algebra")
+
+        for module, name in ((np.linalg, "lstsq"), (np, "dot"), (np, "matmul")):
+            monkeypatch.setattr(module, name, refuse)
+        assert dynamic_gamma(scen, controls) == expected
 
 
 class TestFlatContinuumRate:

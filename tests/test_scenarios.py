@@ -815,12 +815,64 @@ class TestDrivenBySeparableKernel:
         np.testing.assert_array_equal(scenario_trace(scen, 5.0, controls).times,
                                       dissipation_trace(model, 5.0).times)
 
+    @staticmethod
+    def full_scan_rows(rabi, splitting, starts, h):
+        """Row 0 of the sector's propagator by a prefix scan of full 2x2 products, phase included."""
+        quarter = 0.25 * splitting
+        c1, c2 = (np.cos(splitting * (starts + node * h)) for node in dynamics._CF4_NODES)
+        steps = []
+        for a, b in (dynamics._CF4_WEIGHTS, dynamics._CF4_WEIGHTS[::-1]):
+            x = (a * c1 + b * c2) * rabi
+            norm = np.hypot(x, quarter)
+            cos, sin = np.cos(h * norm), np.sin(h * norm) / norm
+            off = -1j * x * sin
+            exp = np.array([[cos + 1j * quarter * sin, off], [off, cos - 1j * quarter * sin]])
+            steps.append(exp * np.exp(-1j * h * quarter))
+
+        def compose(later, earlier):  # later @ earlier, the 2x2 matrices on the first two axes
+            return later[:, :1] * earlier[:1] + later[:, 1:] * earlier[1:]
+
+        scan = compose(*steps[::-1])
+        shift = 1
+        while shift < starts.size:
+            scan[..., shift:] = compose(scan[..., shift:], scan[..., :-shift])
+            shift *= 2
+        return np.concatenate(([[1.0], [0.0]], scan[0]), axis=1)
+
     def test_rows_are_unitary(self):
+        # a product of j steps is rounded j - 1 times, so |a|^2 + |b|^2
+        # wanders from 1 by about sqrt(j) ulps: 1.2e-14 at most here
         starts = scenarios._drive_starts(np.linspace(0.0, 50.0, 1001), 3, 50.0 / 3000)
         rows = dynamics._sector_rows(0.4, 5.0, starts, 50.0 / 3000)
         assert rows.shape == (2, 3001)
         np.testing.assert_array_equal(rows[:, 0], [1.0, 0.0])
-        assert np.abs(np.abs(rows[0]) ** 2 + np.abs(rows[1]) ** 2 - 1.0).max() <= 1e-12
+        assert np.abs(np.abs(rows[0]) ** 2 + np.abs(rows[1]) ** 2 - 1.0).max() <= 2e-14
+
+    @pytest.mark.parametrize("rabi, splitting, horizon, samples, sub, offset", [
+        (0.4, 5.0, 300.0, 2042, 2, 0.0),  # criterion 9's 0.4 row
+        (0.4, 5.0, 32.0, 2287, 1, 0.25 * 2.0 * np.pi / 5.0),  # its D, clock shifted
+        (0.02, 1.0, 2.0 * np.pi / 0.02, 2001, 1, 0.0),  # criterion 7's weak drive
+        (3.0, 1.0, 40.0, 400, 7, 0.3),  # a drive strong against the splitting
+    ], ids=["criterion_9", "criterion_9_d_shifted", "weak_drive", "strong_drive"])
+    def test_rows_equal_the_full_2x2_scan(self, rabi, splitting, horizon, samples, sub, offset):
+        times = np.linspace(0.0, horizon, samples)
+        h = horizon / (samples - 1) / sub
+        starts = scenarios._drive_starts(times, sub, h, offset)
+        rows = dynamics._sector_rows(rabi, splitting, starts, h)
+        expected = self.full_scan_rows(rabi, splitting, starts, h)
+        assert rows.shape == expected.shape == (2, starts.size + 1)
+        assert np.abs(rows - expected).max() <= 1e-12
+
+    def test_stacked_clocks_equal_single_scans(self):
+        # the D chain's grid and its quarter-period clock shift, scanned at once
+        times = np.linspace(0.0, 32.0, 2287)
+        h = 32.0 / 2286
+        starts = np.stack([scenarios._drive_starts(times, 1, h, offset)
+                           for offset in (0.0, dynamics._quarter_period(5.0))])
+        rows = dynamics._sector_rows(0.4, 5.0, starts, h)
+        assert rows.shape == (2, 2, 2287)
+        for stacked, single in zip(rows, starts):
+            np.testing.assert_array_equal(stacked, dynamics._sector_rows(0.4, 5.0, single, h))
 
     # criterion 2's horizon and step on n_y 10, a full model of 21 states
     # that the dense reference steps in about 0.5 s; F is 1.5e-4, 7.8e-5
